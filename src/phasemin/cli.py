@@ -45,7 +45,7 @@ from .errors import (
     PhaseMinError,
     SchemaError,
 )
-from .linalg import symmetrize
+from .linalg import INPUT_SYMMETRY_RTOL, is_definite, symmetrize
 from .problems import Problem, load_problem, parse_problem
 from .restack import RestackProblem, configured_cell_cap, restack
 from .verify import (
@@ -237,15 +237,14 @@ def cmd_sweep(args) -> int:
         raise SchemaError("/template", "expected a problem object")
     values = _sweep_values(spec)
     base_dir = os.path.dirname(os.path.abspath(args.spec))
-    # validate the template once before farming points out
-    _sweep_point((template, base_dir, float(values[0])))
-
     payloads = [(template, base_dir, float(v)) for v in values]
+    # the first point runs here, so a bad template fails before any pool starts
+    rows = [_sweep_point(payloads[0])]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows.extend(pool.map(_sweep_point, payloads[1:]))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows.extend(_sweep_point(p) for p in payloads[1:])
 
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
@@ -338,12 +337,20 @@ def _load_matrix_argument(text: str, label: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaError(f"/{label}", f"expected a square matrix, got shape {arr.shape}")
     try:
-        return symmetrize(arr, rtol=1e-9)
+        matrix = symmetrize(arr, rtol=INPUT_SYMMETRY_RTOL)
     except ValueError as err:
         raise SchemaError(f"/{label}", str(err)) from None
+    w = np.linalg.eigvalsh(matrix)
+    if not is_definite(w):
+        raise SchemaError(
+            f"/{label}", f"matrix is not positive definite (eigenvalue {w[0]:.6e})"
+        )
+    return matrix
 
 
 def cmd_verify(args) -> int:
+    if args.kind != "ellipsoid" and args.trials < 1:
+        raise SchemaError("/trials", f"must be at least 1, got {args.trials}")
     if args.kind == "theorem":
         if not args.problem:
             raise SchemaError("/problem", "verify theorem needs --problem")
@@ -367,6 +374,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if result.violations == 0 else EXIT_VERIFY_FAILED
 
     if args.kind == "nonsqueeze":
+        if args.dof < 1:
+            raise SchemaError("/dof", f"must be at least 1, got {args.dof}")
         sampler = SymplecticSampler(args.dof, args.seed, args.scale)
         result = nonsqueeze_search(
             args.ball_radius, args.cylinder_radius, args.trials, sampler

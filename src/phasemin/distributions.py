@@ -21,9 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSemidefinite,
 )
-from .linalg import sym_eig, symmetrize
-
-PSD_RTOL = 1e-12
+from .linalg import is_definite, is_semidefinite, sym_eig, symmetrize
 
 
 def sphere_surface_area(k: int) -> float:
@@ -63,8 +61,7 @@ class QuadraticPotential:
         mat = symmetrize(self.matrix)
         low = _vector(self.minimum, mat.shape[0], "potential minimum")
         w = np.linalg.eigvalsh(mat)
-        scale = max(abs(w[0]), abs(w[-1]))
-        if scale > 0 and w[0] < -PSD_RTOL * scale:
+        if not is_semidefinite(w):
             raise NotSemidefinite(
                 f"potential matrix has negative eigenvalue {w[0]:.6e}",
                 eigenvalue=w[0],
@@ -108,7 +105,7 @@ class Gaussian:
         cov = symmetrize(self.covariance)
         mean = _vector(self.mean, cov.shape[0], "mean")
         w = np.linalg.eigvalsh(cov)
-        if w[-1] <= 0 or w[0] <= PSD_RTOL * w[-1]:
+        if not is_definite(w):
             raise NotPositiveDefinite(
                 f"covariance is not positive definite (eigenvalue {w[0]:.6e})",
                 eigenvalue=w[0],
@@ -157,7 +154,7 @@ class EllipsoidIndicator:
     def __post_init__(self):
         mat = symmetrize(self.matrix)
         w = np.linalg.eigvalsh(mat)
-        if w[-1] <= 0 or w[0] <= PSD_RTOL * w[-1]:
+        if not is_definite(w):
             raise NotPositiveDefinite(
                 f"ellipsoid matrix is not positive definite (eigenvalue {w[0]:.6e})",
                 eigenvalue=w[0],
@@ -381,11 +378,6 @@ def moment_energy(m: Moments, potential: QuadraticPotential) -> float:
     )
 
 
-def potential_energy(f, potential: QuadraticPotential) -> float:
-    """Exact ∫ E(z) f(z) dz for a quadratic potential."""
-    return moment_energy(moments(f), potential)
-
-
 # ---------------------------------------------------------------------------
 # pointwise densities (used to rasterize distributions onto lattices)
 
@@ -461,59 +453,3 @@ def _(f: Mixture):
         return total
 
     return evaluate
-
-
-# ---------------------------------------------------------------------------
-# translation
-
-
-@singledispatch
-def translate(f, shift):
-    """The same distribution moved by ``shift``."""
-    raise TypeError(f"not a distribution: {type(f).__name__}")
-
-
-@translate.register
-def _(f: Gaussian, shift):
-    return Gaussian(f.weight, f.mean + _vector(shift, f.dim), f.covariance)
-
-
-@translate.register
-def _(f: BallIndicator, shift):
-    return BallIndicator(f.radius, f.center + _vector(shift, f.dim), f.amplitude)
-
-
-@translate.register
-def _(f: EllipsoidIndicator, shift):
-    return EllipsoidIndicator(f.matrix, f.center + _vector(shift, f.dim), f.amplitude)
-
-
-@translate.register
-def _(f: Particles, shift):
-    return Particles(f.points + _vector(shift, f.dim), f.weights)
-
-
-@translate.register
-def _(f: Grid, shift):
-    return Grid(f.origin + _vector(shift, f.dim), f.spacing, f.shape, f.values)
-
-
-@translate.register
-def _(f: Mixture, shift):
-    return Mixture(tuple(translate(c, shift) for c in f.components))
-
-
-def rasterize(f, lower, upper, spacing: float) -> Grid:
-    """Sample a distribution's density at cell midpoints over a box.
-
-    The box starts at ``lower`` and is extended to a whole number of cells
-    covering ``upper``.
-    """
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    if lower.shape != upper.shape or np.any(upper <= lower):
-        raise ValueError("box must satisfy lower < upper componentwise")
-    counts = np.maximum(1, np.ceil((upper - lower) / spacing - 1e-9).astype(int))
-    grid = Grid(lower, spacing, tuple(counts), np.zeros(int(np.prod(counts))))
-    values = density(f)(grid.cell_centers())
-    return Grid(lower, spacing, tuple(counts), values)

@@ -29,10 +29,9 @@ import numpy as np
 
 from .distributions import Moments, QuadraticPotential, moment_energy
 from .errors import DegenerateMoments, DimensionError, NumericalInstability
-from .linalg import sym_eig, symplectic_form
+from .linalg import is_definite, sym_eig
 from .williamson import symplectic_eigenvalues, williamson
 
-PD_RTOL = 1e-12
 # ridge added to a singular potential matrix when a concrete near-optimal map
 # is requested; the energy value itself never uses it
 MAP_RIDGE = 1e-8
@@ -75,20 +74,17 @@ class BumpOnTailSplit(NamedTuple):
     gardner_energy_density: float
 
 
-def _checked_dims(m: Moments, potential: QuadraticPotential) -> int:
+def _moment_matrix(m: Moments, potential: QuadraticPotential) -> np.ndarray:
+    """H, after checking the dimensions and that H is definite."""
     if m.dim != potential.dim:
         raise DimensionError(
             f"moments have dimension {m.dim}, potential {potential.dim}"
         )
     if m.dim % 2:
         raise DimensionError(f"phase-space dimension must be even, got {m.dim}")
-    return m.dim // 2
-
-
-def _definite_moment_matrix(m: Moments) -> np.ndarray:
     h = m.second_moment
     w = np.linalg.eigvalsh(h)
-    if w[-1] <= 0 or w[0] <= PD_RTOL * w[-1]:
+    if not is_definite(w):
         raise DegenerateMoments(
             f"second-moment matrix is singular (smallest eigenvalue {w[0]:.6e}); "
             "the distribution does not span phase space"
@@ -96,14 +92,38 @@ def _definite_moment_matrix(m: Moments) -> np.ndarray:
     return h
 
 
-def _is_definite(v: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(v)
-    return w[-1] > 0 and w[0] > PD_RTOL * w[-1]
-
-
-def _ridge(v: np.ndarray) -> np.ndarray:
+def _map_potential(v: np.ndarray) -> np.ndarray:
+    """V when it is definite, else V with a small ridge, to build a map from."""
+    if is_definite(np.linalg.eigvalsh(v)):
+        return v
     scale = max(1.0, float(np.abs(v).max()))
     return v + MAP_RIDGE * scale * np.eye(v.shape[0])
+
+
+def _spectra(v: np.ndarray, h: np.ndarray) -> tuple:
+    return symplectic_eigenvalues(v), symplectic_eigenvalues(h)
+
+
+def _sl_energy(floor: float, v: np.ndarray, h: np.ndarray) -> float:
+    """floor + 2n * det(V H)^(1/(2n)); just floor when V is singular."""
+    w_v = np.linalg.eigvalsh(v)
+    if not is_definite(w_v):
+        return floor
+    w_h = np.linalg.eigvalsh(h)
+    dim = v.shape[0]
+    mean_log = (np.log(w_v).sum() + np.log(w_h).sum()) / dim
+    return floor + dim * math.exp(mean_log)
+
+
+def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray) -> float:
+    """sum_k dH_k * dV_(n+1-k) with both spectra descending."""
+    return float(np.dot(spectrum_h, spectrum_v[::-1]))
+
+
+def _sp_energy(floor: float, spectra: tuple) -> float:
+    """floor + 2 * sum_k dV_k dH_(n+1-k) over the descending spectra (dV, dH)."""
+    spectrum_v, spectrum_h = spectra
+    return floor + 2 * anti_sorted_pairing(spectrum_v, spectrum_h)
 
 
 def sl_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -135,26 +155,13 @@ def sp_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return s_v @ relabel @ s_h.T
 
 
-def symplectic_rotation(angles: Sequence[float]) -> np.ndarray:
-    """Independent rotation of each (x_k, p_k) plane; symplectic and orthogonal."""
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    n = angles.shape[0]
-    cos, sin = np.cos(angles), np.sin(angles)
-    out = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    out[idx, idx] = cos
-    out[idx, n + idx] = sin
-    out[n + idx, idx] = -sin
-    out[n + idx, n + idx] = cos
-    return out
-
-
 def _report(
     m: Moments,
     potential: QuadraticPotential,
     energy: float,
     matrix: np.ndarray,
     group: str,
+    spectra: tuple,
 ) -> EnergyReport:
     initial = moment_energy(m, potential)
     fraction = energy / initial if initial > 0 else None
@@ -166,8 +173,8 @@ def _report(
         fraction=fraction,
         map=affine,
         group=group,
-        potential_spectrum=symplectic_eigenvalues(potential.matrix),
-        moment_spectrum=symplectic_eigenvalues(m.second_moment),
+        potential_spectrum=spectra[0],
+        moment_spectrum=spectra[1],
     )
 
 
@@ -178,25 +185,11 @@ def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyRe
     determinant vanishes and the infimum N*offset is approached but not
     attained; the returned map is then built from a slightly ridged V.
     """
-    n = _checked_dims(m, potential)
-    h = _definite_moment_matrix(m)
+    h = _moment_matrix(m, potential)
     v = potential.matrix
-    floor = potential.offset * m.mass
-    if _is_definite(v):
-        w_v = np.linalg.eigvalsh(v)
-        w_h = np.linalg.eigvalsh(h)
-        mean_log = (np.log(w_v).sum() + np.log(w_h).sum()) / (2 * n)
-        energy = floor + 2 * n * math.exp(mean_log)
-        matrix = sl_optimal_map(v, h)
-    else:
-        energy = floor
-        matrix = sl_optimal_map(_ridge(v), h)
-    return _report(m, potential, energy, matrix, "SL")
-
-
-def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray) -> float:
-    """sum_k dH_k * dV_(n+1-k) with both spectra descending."""
-    return float(np.dot(spectrum_h, spectrum_v[::-1]))
+    energy = _sl_energy(potential.offset * m.mass, v, h)
+    matrix = sl_optimal_map(_map_potential(v), h)
+    return _report(m, potential, energy, matrix, "SL", _spectra(v, h))
 
 
 def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
@@ -207,17 +200,12 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     eigenvalues simply drop the largest moments from the sum, and the
     returned map is built from a slightly ridged V.
     """
-    _checked_dims(m, potential)
-    h = _definite_moment_matrix(m)
+    h = _moment_matrix(m, potential)
     v = potential.matrix
-    spectrum_v = symplectic_eigenvalues(v)
-    spectrum_h = symplectic_eigenvalues(h)
-    energy = potential.offset * m.mass + 2 * anti_sorted_pairing(spectrum_v, spectrum_h)
-    if _is_definite(v):
-        matrix = sp_optimal_map(v, h)
-    else:
-        matrix = sp_optimal_map(_ridge(v), h)
-    return _report(m, potential, energy, matrix, "Sp")
+    spectra = _spectra(v, h)
+    energy = _sp_energy(potential.offset * m.mass, spectra)
+    matrix = sp_optimal_map(_map_potential(v), h)
+    return _report(m, potential, energy, matrix, "Sp", spectra)
 
 
 def verify_map_optimality(
@@ -235,23 +223,6 @@ def verify_map_optimality(
         np.trace(potential.matrix @ a @ m.second_moment @ a.T)
     )
     return abs(achieved - report.energy)
-
-
-def _group_energy(
-    group: str, m: Moments, v: np.ndarray, potential_offset: float
-) -> float:
-    n = v.shape[0] // 2
-    if group == "SL":
-        w_v = np.linalg.eigvalsh(v)
-        w_h = np.linalg.eigvalsh(m.second_moment)
-        if w_v[-1] <= 0 or w_v[0] <= PD_RTOL * w_v[-1]:
-            return potential_offset * m.mass
-        mean_log = (np.log(w_v).sum() + np.log(w_h).sum()) / (2 * n)
-        return potential_offset * m.mass + 2 * n * math.exp(mean_log)
-    pairing = anti_sorted_pairing(
-        symplectic_eigenvalues(v), symplectic_eigenvalues(m.second_moment)
-    )
-    return potential_offset * m.mass + 2 * pairing
 
 
 def degenerate_limit(
@@ -278,8 +249,7 @@ def degenerate_limit(
     """
     if group not in ("SL", "Sp"):
         raise ValueError(f"group must be 'SL' or 'Sp', got {group!r}")
-    n = _checked_dims(m, potential)
-    _definite_moment_matrix(m)
+    h = _moment_matrix(m, potential)
     eps = [float(e) for e in eps_sequence]
     if len(eps) < 2:
         raise ValueError("need at least two ridge values to extrapolate")
@@ -288,7 +258,14 @@ def degenerate_limit(
 
     v = potential.matrix
     eye = np.eye(v.shape[0])
-    energies = [_group_energy(group, m, v + e * eye, potential.offset) for e in eps]
+    floor = potential.offset * m.mass
+
+    def group_energy(ridged):
+        if group == "SL":
+            return _sl_energy(floor, ridged, h)
+        return _sp_energy(floor, _spectra(ridged, h))
+
+    energies = [group_energy(v + e * eye) for e in eps]
     scale = max(1.0, max(abs(e) for e in energies))
     for previous, current in zip(energies, energies[1:]):
         if current > previous + 1e-12 * scale:
@@ -299,19 +276,17 @@ def degenerate_limit(
     e1, e2 = eps[-2], eps[-1]
     y1, y2 = energies[-2], energies[-1]
     extrapolated = y2 - e2 * (y1 - y2) / (e1 - e2)
-    direct = _group_energy(group, m, v, potential.offset)
+    direct = group_energy(v)
     if abs(extrapolated - direct) > agreement_rtol * (1.0 + abs(direct)):
         raise NumericalInstability(
             f"extrapolated limit {extrapolated!r} disagrees with the direct "
             f"formula {direct!r} beyond relative tolerance {agreement_rtol}"
         )
-    floor = potential.offset * m.mass
     energy = max(extrapolated, floor)
 
     build = sl_optimal_map if group == "SL" else sp_optimal_map
-    matrix = build(v + eps[-1] * eye, m.second_moment)
-    report = _report(m, potential, energy, matrix, group)
-    return report
+    matrix = build(v + eps[-1] * eye, h)
+    return _report(m, potential, energy, matrix, group, _spectra(v, h))
 
 
 def bump_on_tail_1d(

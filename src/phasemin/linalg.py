@@ -15,7 +15,28 @@ from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
 # Tolerances are relative to the largest magnitude entry (or eigenvalue)
 # unless a docstring says otherwise.
 SYMMETRY_RTOL = 1e-12
+# matrices read from JSON or the command line carry decimal rounding
+INPUT_SYMMETRY_RTOL = 1e-9
 PD_RTOL = 1e-12
+PSD_RTOL = 1e-12
+# symplectic eigenvalues this small relative to |M| are reported as exact zeros
+ZERO_CLAMP_RTOL = 1e-10
+
+
+def is_definite(w) -> bool:
+    """Whether ascending eigenvalues ``w`` belong to a usably definite matrix.
+
+    The smallest eigenvalue must exceed ``PD_RTOL`` times the largest one.
+    """
+    return bool(w[-1] > 0 and w[0] > PD_RTOL * w[-1])
+
+
+def is_semidefinite(w) -> bool:
+    """Whether ascending eigenvalues ``w`` have no genuinely negative member.
+
+    Negative values within ``PSD_RTOL`` of the largest magnitude are rounding.
+    """
+    return bool(w[0] >= -PSD_RTOL * max(abs(w[0]), abs(w[-1])))
 
 
 def as_square(a) -> np.ndarray:
@@ -78,12 +99,24 @@ def pd_power(m, exponent: float) -> np.ndarray:
     """
     dec = sym_eig(m)
     w = dec.eigenvalues
-    if w[-1] <= 0 or w[0] <= PD_RTOL * w[-1]:
+    if not is_definite(w):
         raise NotPositiveDefinite(
             f"matrix is not positive definite (smallest eigenvalue {w[0]:.6e})",
             eigenvalue=w[0],
         )
     return (dec.basis * w**exponent) @ dec.basis.T
+
+
+def require_definite(matrix, name: str) -> np.ndarray:
+    """Symmetrized ``matrix``, raising NotPositiveDefinite if it is not definite."""
+    m = symmetrize(matrix)
+    w = np.linalg.eigvalsh(m)
+    if not is_definite(w):
+        raise NotPositiveDefinite(
+            f"{name} must be positive definite (eigenvalue {w[0]:.6e})",
+            eigenvalue=w[0],
+        )
+    return m
 
 
 def symplectic_form(dof: int) -> np.ndarray:
@@ -105,8 +138,3 @@ def symplectic_residual(a) -> float:
         raise DimensionError(f"symplectic matrices have even dimension, got {a.shape[0]}")
     j = symplectic_form(a.shape[0] // 2)
     return float(np.abs(a.T @ j @ a - j).max())
-
-
-def is_symplectic(a, tol: float = 1e-10) -> bool:
-    """Whether A.T J A = J holds within an absolute entrywise tolerance."""
-    return symplectic_residual(a) <= tol

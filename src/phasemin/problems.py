@@ -49,8 +49,7 @@ from .distributions import (
     QuadraticPotential,
 )
 from .errors import NotPositiveDefinite, NotSemidefinite, PhaseMinError, SchemaError
-
-MATRIX_SYMMETRY_RTOL = 1e-9
+from .linalg import INPUT_SYMMETRY_RTOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +119,7 @@ def _matrix(value, size, path: str) -> np.ndarray:
 def _symmetric_matrix(value, size, path: str) -> np.ndarray:
     out = _matrix(value, size, path)
     scale = np.abs(out).max()
-    if scale > 0 and np.abs(out - out.T).max() > MATRIX_SYMMETRY_RTOL * scale:
+    if scale > 0 and np.abs(out - out.T).max() > INPUT_SYMMETRY_RTOL * scale:
         raise SchemaError(path, "matrix is not symmetric")
     return (out + out.T) / 2.0
 
@@ -165,8 +164,6 @@ def load_grid_file(path: str) -> Grid:
         sidecar = os.path.join(os.path.dirname(path), obj["values_csv"])
         try:
             values = np.loadtxt(sidecar, dtype=float, ndmin=1)
-        except OSError:
-            raise
         except ValueError as err:
             raise SchemaError("/values_csv", f"unreadable CSV values: {err}") from None
     else:

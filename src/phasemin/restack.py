@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -151,23 +151,3 @@ def restack_grid(grid: Grid, cell_energy) -> RestackResult:
 def restack(problem: RestackProblem) -> RestackResult:
     """Build the problem's lattice and rearrange it."""
     return restack_grid(problem.build_grid(), problem.cell_energy)
-
-
-def restack_convergence(
-    problem: RestackProblem, levels: Sequence[int]
-) -> List[Tuple[float, float]]:
-    """Rearranged energies over increasing refinements of the same box.
-
-    Returns (spacing, energy) pairs, one per level.  On the problems
-    exercised in the test suite the energy column is monotone and its
-    increments shrink with the spacing; the limit is the continuum
-    rearrangement energy.
-    """
-    levels = [int(v) for v in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    out = []
-    for level in levels:
-        refined = problem.at_level(level)
-        out.append((refined.spacing, restack(refined).energy))
-    return out

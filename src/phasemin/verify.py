@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
 from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
-from .linalg import symmetrize, symplectic_form
+from .linalg import require_definite, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
 
@@ -127,26 +127,10 @@ class SymplecticSampler:
         return self.sample_batch(1)[0]
 
 
-def sample_symplectic(sampler: SymplecticSampler) -> np.ndarray:
-    """Draw the sampler's next random symplectic matrix."""
-    return sampler.sample()
-
-
 class TraceMinimumCheck(NamedTuple):
     min_observed: float
     bound: float
     violations: int
-
-
-def _definite(matrix, name: str) -> np.ndarray:
-    m = symmetrize(matrix)
-    w = np.linalg.eigvalsh(m)
-    if w[-1] <= 0 or w[0] <= 1e-12 * w[-1]:
-        raise NotPositiveDefinite(
-            f"{name} must be positive definite (eigenvalue {w[0]:.6e})",
-            eigenvalue=w[0],
-        )
-    return m
 
 
 def check_trace_minimum(
@@ -159,8 +143,8 @@ def check_trace_minimum(
     set also includes the constructed optimal map, so min_observed matches
     the bound whenever the construction is right.
     """
-    v = _definite(v, "V")
-    h = _definite(h, "H")
+    v = require_definite(v, "V")
+    h = require_definite(h, "H")
     if v.shape != h.shape:
         raise DimensionError(f"shape mismatch: {v.shape} vs {h.shape}")
     if v.shape[0] != 2 * sampler.dof:
@@ -193,8 +177,8 @@ def ellipsoids_equivalent(first, second, tol: float = 1e-8) -> bool:
     when the symplectic spectra of their shape matrices agree; comparison is
     elementwise within ``tol`` relative.
     """
-    a = _definite(first, "first shape matrix")
-    b = _definite(second, "second shape matrix")
+    a = require_definite(first, "first shape matrix")
+    b = require_definite(second, "second shape matrix")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     sa = symplectic_eigenvalues(a)
@@ -209,7 +193,7 @@ def ellipsoid_cylinder_energy(shape) -> float:
     shape_(n+1)(n+1)); the two picked entries are the first position and
     first momentum diagonal entries of ``shape``.
     """
-    m = _definite(shape, "shape matrix")
+    m = require_definite(shape, "shape matrix")
     d = m.shape[0]
     if d % 2:
         raise DimensionError(f"phase-space dimension must be even, got {d}")
@@ -228,38 +212,6 @@ def _cylinder_block_top(stack: np.ndarray, n: int) -> np.ndarray:
     b = stack[..., 0, n]
     half_gap = (a - c) / 2.0
     return (a + c) / 2.0 + np.sqrt(half_gap**2 + b**2)
-
-
-def cylinder_contains(shape, radius: float) -> bool:
-    """Whether {z : z.T shape^(-1) z <= 1} fits in the cylinder x_1^2 + p_1^2 <= r^2.
-
-    The supremum of x_1^2 + p_1^2 over the ellipsoid is the largest
-    eigenvalue of the (x_1, p_1) submatrix of ``shape``; containment is that
-    eigenvalue <= r^2, with the boundary counting as contained.
-    """
-    m = _definite(shape, "shape matrix")
-    d = m.shape[0]
-    if d % 2:
-        raise DimensionError(f"phase-space dimension must be even, got {d}")
-    if not radius > 0:
-        raise ValueError(f"cylinder radius must be positive, got {radius}")
-    top = float(_cylinder_block_top(m, d // 2))
-    return top <= radius**2 * (1 + 1e-12)
-
-
-def cylinder_necessary_conditions(shape, radius: float) -> bool:
-    """The two diagonal conditions shape_11 <= r^2 and shape_(n+1)(n+1) <= r^2.
-
-    Necessary but not sufficient for containment; exposed separately so the
-    sharpness gap against :func:`cylinder_contains` is testable.
-    """
-    m = _definite(shape, "shape matrix")
-    d = m.shape[0]
-    if d % 2:
-        raise DimensionError(f"phase-space dimension must be even, got {d}")
-    n = d // 2
-    limit = radius**2 * (1 + 1e-12)
-    return bool(m[0, 0] <= limit and m[n, n] <= limit)
 
 
 class NonsqueezeSearch(NamedTuple):
@@ -308,9 +260,3 @@ def nonsqueeze_search(
         min_energy = min(min_energy, float(energies.min()))
         remaining -= take
     return NonsqueezeSearch(successes=successes, min_energy_seen=min_energy)
-
-
-def random_spd(rng: np.random.Generator, dim: int, jitter: float = 1e-3) -> np.ndarray:
-    """Random symmetric positive definite matrix G G.T + jitter * I."""
-    g = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return g @ g.T + jitter * np.eye(dim)

@@ -20,11 +20,14 @@ import numpy as np
 from scipy.linalg import schur
 
 from .errors import DimensionError, NotSemidefinite, NumericalInstability
-from .linalg import pd_power, sym_eig, symmetrize, symplectic_form
-
-# Symplectic eigenvalues this small relative to |M| are reported as exact zeros.
-ZERO_CLAMP_RTOL = 1e-10
-PSD_RTOL = 1e-12
+from .linalg import (
+    ZERO_CLAMP_RTOL,
+    is_semidefinite,
+    pd_power,
+    sym_eig,
+    symmetrize,
+    symplectic_form,
+)
 
 
 def _even_dim(m) -> int:
@@ -51,8 +54,7 @@ def symplectic_eigenvalues(m) -> np.ndarray:
     n = _even_dim(m)
     dec = sym_eig(m)
     w = dec.eigenvalues
-    scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] < -PSD_RTOL * scale:
+    if not is_semidefinite(w):
         raise NotSemidefinite(
             f"matrix has negative eigenvalue {w[0]:.6e}", eigenvalue=w[0]
         )
@@ -64,7 +66,7 @@ def symplectic_eigenvalues(m) -> np.ndarray:
     singular = np.sqrt(squared)[::-1]
     # the 2n singular values come in equal pairs; average each pair
     values = (singular[0::2] + singular[1::2]) / 2.0
-    values[values <= ZERO_CLAMP_RTOL * scale] = 0.0
+    values[values <= ZERO_CLAMP_RTOL * max(abs(w[0]), abs(w[-1]))] = 0.0
     return values
 
 

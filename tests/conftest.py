@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from phasemin import Moments, SymplecticSampler
+from phasemin.distributions import Moments
+from phasemin.verify import SymplecticSampler
 
 
 def random_spd(rng, dim, spread=2.0):

@@ -20,30 +20,32 @@ from conftest import (
     random_spd,
     random_unimodular_batch,
 )
-from phasemin import (
+from phasemin.distributions import (
     BallIndicator,
     EllipsoidIndicator,
     Gaussian,
     Grid,
     QuadraticPotential,
-    RestackProblem,
-    SymplecticSampler,
     ball_volume,
-    bump_on_tail_1d,
-    check_trace_minimum,
-    degenerate_limit,
     density,
-    ellipsoid_cylinder_energy,
+    moments,
+)
+from phasemin.energy import (
+    bump_on_tail_1d,
+    degenerate_limit,
     linear_gardner_energy,
     linear_gromov_energy,
-    moments,
-    nonsqueeze_search,
-    restack,
-    restack_grid,
-    symplectic_residual,
     verify_map_optimality,
-    williamson,
 )
+from phasemin.linalg import symplectic_residual
+from phasemin.restack import RestackProblem, restack, restack_grid
+from phasemin.verify import (
+    SymplecticSampler,
+    check_trace_minimum,
+    ellipsoid_cylinder_energy,
+    nonsqueeze_search,
+)
+from phasemin.williamson import williamson
 from phasemin.problems import load_problem
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phasemin import is_symplectic
+import phasemin.cli
 from phasemin.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -15,6 +15,7 @@ from phasemin.cli import (
     SWEEP_CSV_HEADER,
     main,
 )
+from phasemin.linalg import symplectic_residual
 
 
 def write_json(path, payload):
@@ -97,7 +98,7 @@ def test_bounds_reports_both_group_energies(tmp_path, capsys):
         expected = payload[group]["energy"] / 6.0625
         assert payload[group]["fraction"] == pytest.approx(expected, rel=1e-12)
     sp_map = np.array(payload["sp"]["map"]["matrix"])
-    assert is_symplectic(sp_map)
+    assert symplectic_residual(sp_map) <= 1e-10
     sl_map = np.array(payload["sl"]["map"]["matrix"])
     assert np.linalg.det(sl_map) == pytest.approx(1.0, rel=1e-10)
 
@@ -194,6 +195,22 @@ def test_sweep_is_deterministic_and_worker_count_invariant(tmp_path, capsys):
     code, parallel, _ = run(capsys, ["sweep", path, "--workers", "2"])
     assert code == EXIT_OK
     assert parallel == serial_a
+
+
+def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
+    evaluated = []
+    evaluate = phasemin.cli._sweep_point
+
+    def counting(payload):
+        evaluated.append(payload[2])
+        return evaluate(payload)
+
+    monkeypatch.setattr(phasemin.cli, "_sweep_point", counting)
+    path = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
+    code, out, _ = run(capsys, ["sweep", path])
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 6
+    np.testing.assert_allclose(evaluated, [0.2, 0.65, 1.1, 1.55, 2.0], rtol=1e-12)
 
 
 def test_sweep_log_spacing(tmp_path, capsys):
@@ -477,3 +494,36 @@ def test_verify_ellipsoid_rejects_a_broken_matrix_file(tmp_path, capsys):
     )
     assert code == EXIT_SCHEMA
     assert "/first" in err
+
+
+IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["theorem", "--problem", "PROBLEM", "--trials", "0"], "/trials"),
+        (["theorem", "--problem", "PROBLEM", "--trials", "-5"], "/trials"),
+        (["nonsqueeze", "--trials", "-3"], "/trials"),
+        (["nonsqueeze", "--dof", "0"], "/dof"),
+        (["ellipsoid", "--first", "[[1.0, 0.0], [0.0, 0.0]]", "--second", IDENTITY_2],
+         "/first"),
+        (["ellipsoid", "--first", IDENTITY_2, "--second", "[[1.0, 2.0], [2.0, 1.0]]"],
+         "/second"),
+    ],
+    ids=[
+        "theorem-zero-trials",
+        "theorem-negative-trials",
+        "nonsqueeze-negative-trials",
+        "nonsqueeze-zero-dof",
+        "ellipsoid-singular-first",
+        "ellipsoid-indefinite-second",
+    ],
+)
+def test_verify_rejects_inputs_outside_the_contract(tmp_path, capsys, argv, pointer):
+    problem = write_json(tmp_path / "p.json", gaussian_problem(0.25))
+    argv = ["verify"] + [problem if a == "PROBLEM" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_SCHEMA
+    assert out == ""
+    assert err.startswith(f"schema error at {pointer}: ")

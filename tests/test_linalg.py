@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from phasemin import (
-    DimensionError,
-    NotPositiveDefinite,
-    is_symplectic,
+from phasemin.errors import DimensionError, NotPositiveDefinite
+from phasemin.linalg import (
+    as_square,
     pd_power,
     sym_eig,
     symmetrize,
     symplectic_form,
     symplectic_residual,
 )
-from phasemin.linalg import as_square
 
 
 def test_as_square_rejects_bad_shapes():
@@ -99,11 +97,3 @@ def test_symplectic_residual_values():
     assert symplectic_residual(np.diag([2.0, 2.0])) == pytest.approx(3.0)
     with pytest.raises(DimensionError):
         symplectic_residual(np.eye(3))
-
-
-def test_is_symplectic_threshold():
-    a = np.diag([2.0, 0.5])
-    assert is_symplectic(a)
-    a[0, 0] += 1e-5
-    assert not is_symplectic(a)
-    assert is_symplectic(a, tol=1e-2)

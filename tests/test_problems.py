@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from phasemin import (
+from phasemin.distributions import (
     BallIndicator,
     EllipsoidIndicator,
     Gaussian,
     Grid,
     Mixture,
     Particles,
-    SchemaError,
 )
+from phasemin.errors import SchemaError
 from phasemin.problems import (
     load_grid_file,
     load_problem,

@@ -4,24 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from phasemin import (
+from phasemin.distributions import (
     BallIndicator,
-    CellCapExceeded,
     EllipsoidIndicator,
-    EmptyDistribution,
     Gaussian,
     Grid,
     Mixture,
     QuadraticPotential,
-    RestackProblem,
     density,
-    linear_gardner_energy,
     moments,
+)
+from phasemin.energy import linear_gardner_energy
+from phasemin.errors import CellCapExceeded, EmptyDistribution
+from phasemin.restack import (
+    CELL_CAP_ENV,
+    DEFAULT_CELL_CAP,
+    RestackProblem,
+    configured_cell_cap,
     restack,
-    restack_convergence,
     restack_grid,
 )
-from phasemin.restack import CELL_CAP_ENV, DEFAULT_CELL_CAP, configured_cell_cap
 
 KINETIC_1D = QuadraticPotential(0.0, [0.0], [[0.5]])
 
@@ -239,7 +241,10 @@ def test_configured_cell_cap(monkeypatch):
 
 def test_convergence_table():
     problem = uniform_interval_problem(1)
-    table = restack_convergence(problem, [1, 2, 3, 4])
+    table = [
+        (refined.spacing, restack(refined).energy)
+        for refined in (problem.at_level(level) for level in (1, 2, 3, 4))
+    ]
     assert len(table) == 4
     spacings = [row[0] for row in table]
     np.testing.assert_allclose(spacings, [0.5, 0.25, 0.125, 0.0625])
@@ -247,5 +252,3 @@ def test_convergence_table():
     # refinements approach the continuum value from below on this problem
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert energies[-1] < 1.0 / 24.0
-    with pytest.raises(ValueError):
-        restack_convergence(problem, [2, 2])

@@ -5,26 +5,19 @@ import pytest
 from scipy.linalg import expm as dense_expm
 
 from conftest import random_spd
-from phasemin import (
-    BallIndicator,
-    DimensionError,
-    NotPositiveDefinite,
-    QuadraticPotential,
+from phasemin.distributions import BallIndicator, QuadraticPotential, moments
+from phasemin.energy import linear_gromov_energy
+from phasemin.errors import DimensionError, NotPositiveDefinite
+from phasemin.linalg import symplectic_form, symplectic_residual
+from phasemin.verify import (
     SymplecticSampler,
+    _cylinder_block_top,
     check_trace_minimum,
-    cylinder_contains,
-    cylinder_necessary_conditions,
     ellipsoid_cylinder_energy,
     ellipsoids_equivalent,
     expm_batch,
-    linear_gromov_energy,
-    moments,
     nonsqueeze_search,
-    sample_symplectic,
-    symplectic_form,
-    symplectic_residual,
 )
-from phasemin.verify import random_spd as package_random_spd
 
 
 def test_expm_batch_matches_dense_reference():
@@ -109,8 +102,8 @@ def test_sampler_validation():
 
 def test_sample_symplectic_advances_the_stream():
     sampler = SymplecticSampler(1, seed=4)
-    a = sample_symplectic(sampler)
-    b = sample_symplectic(sampler)
+    a = sampler.sample()
+    b = sampler.sample()
     assert symplectic_residual(a) <= 1e-8
     assert np.abs(a - b).max() > 1e-6
 
@@ -174,7 +167,7 @@ def test_cylinder_energy_closed_forms():
 
 def test_cylinder_energy_monte_carlo_cross_check():
     rng = np.random.default_rng(23)
-    shape = package_random_spd(rng, 4, jitter=0.5)
+    shape = random_spd(rng, 4)
     exact = ellipsoid_cylinder_energy(shape)
     # uniform points in the ellipsoid via the unit ball and Cholesky factor
     count = 200_000
@@ -195,18 +188,20 @@ def test_cylinder_energy_validation():
 
 
 def test_cylinder_containment_boundary():
-    assert cylinder_contains(np.eye(4), 1.0)
-    assert not cylinder_contains(np.eye(4) * 1.01, 1.0)
-    assert cylinder_contains(np.diag([0.5, 4.0, 0.5, 9.0]), 1.0)
-    with pytest.raises(ValueError):
-        cylinder_contains(np.eye(4), 0.0)
+    # an ellipsoid fits the unit cylinder exactly when the top eigenvalue of
+    # the (x_1, p_1) block of its shape matrix is at most 1
+    assert _cylinder_block_top(np.eye(4), 2) == pytest.approx(1.0, rel=1e-15)
+    assert _cylinder_block_top(np.eye(4) * 1.01, 2) > 1.0
+    assert _cylinder_block_top(np.diag([0.5, 4.0, 0.5, 9.0]), 2) == 0.5
+    stack = np.stack([np.eye(4), np.diag([0.5, 4.0, 0.5, 9.0])])
+    np.testing.assert_allclose(_cylinder_block_top(stack, 2), [1.0, 0.5])
 
 
 def test_diagonal_conditions_are_necessary_but_not_sufficient():
     shape = np.eye(4)
     shape[0, 2] = shape[2, 0] = 0.6
-    assert cylinder_necessary_conditions(shape, 1.0)
-    assert not cylinder_contains(shape, 1.0)
+    assert shape[0, 0] <= 1.0 and shape[2, 2] <= 1.0
+    assert _cylinder_block_top(shape, 2) == pytest.approx(1.6, rel=1e-15)
 
 
 @pytest.mark.parametrize("dof", [1, 2])
@@ -235,11 +230,3 @@ def test_nonsqueeze_validation():
         nonsqueeze_search(1.0, 1.5, 10, sampler)
     with pytest.raises(ValueError):
         nonsqueeze_search(1.0, 0.0, 10, sampler)
-
-
-def test_package_random_spd_is_definite():
-    rng = np.random.default_rng(1)
-    for dim in (2, 4, 6):
-        m = package_random_spd(rng, dim)
-        np.testing.assert_allclose(m, m.T)
-        assert np.linalg.eigvalsh(m)[0] > 0

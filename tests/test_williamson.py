@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import paired_spectrum_synthesis, random_spd
-from phasemin import (
-    NotPositiveDefinite,
-    NotSemidefinite,
-    SymplecticSampler,
-    symplectic_eigenvalues,
-    symplectic_form,
-    symplectic_residual,
-    williamson,
-)
+from phasemin.errors import NotPositiveDefinite, NotSemidefinite
+from phasemin.linalg import symplectic_form, symplectic_residual
+from phasemin.verify import SymplecticSampler
+from phasemin.williamson import symplectic_eigenvalues, williamson
 
 
 def diagonal_case_spectrum(entries):
@@ -118,7 +113,7 @@ def test_williamson_requires_definite_input():
 
 
 def test_odd_dimension_is_rejected():
-    from phasemin import DimensionError
+    from phasemin.errors import DimensionError
 
     with pytest.raises(DimensionError):
         symplectic_eigenvalues(np.eye(3))
