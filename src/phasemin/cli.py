@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     SchemaError,
 )
 from .linalg import INPUT_SYMMETRY_RTOL, is_definite, symmetrize
-from .problems import Problem, load_problem, parse_problem
+from .problems import Problem, load_problem, parse_potential, parse_problem
 from .restack import RestackProblem, configured_cell_cap, restack
 from .verify import (
     SymplecticSampler,
@@ -113,8 +113,8 @@ def cmd_bounds(args) -> int:
         "center": m.center.tolist(),
         "second_moment": m.second_moment.tolist(),
         "initial_energy": initial,
-        "potential_spectrum": sl.potential_spectrum.tolist(),
-        "moment_spectrum": sl.moment_spectrum.tolist(),
+        "potential_spectrum": sp.potential_spectrum.tolist(),
+        "moment_spectrum": sp.moment_spectrum.tolist(),
         "sl": {
             "energy": sl.energy,
             "fraction": sl.fraction,
@@ -142,7 +142,8 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 def _eval_parameter_expression(text: str, value: float, path: str) -> float:
     """Evaluate an arithmetic expression in the variable ``epsilon``.
 
-    Only numbers, +, -, *, /, ** and the name ``epsilon`` are allowed.
+    Only numbers, +, -, *, /, ** and the name ``epsilon`` are allowed, and
+    the value must be a finite real number.
     """
 
     def walk(node):
@@ -172,32 +173,56 @@ def _eval_parameter_expression(text: str, value: float, path: str) -> float:
         tree = ast.parse(text, mode="eval")
     except SyntaxError:
         raise SchemaError(path, f"invalid expression {text!r}") from None
-    return float(walk(tree))
+    try:
+        result = walk(tree)
+    except ArithmeticError as err:
+        raise SchemaError(
+            path, f"expression {text!r} fails at epsilon = {value!r}: {err}"
+        ) from None
+    if not isinstance(result, float) or not math.isfinite(result):
+        raise SchemaError(
+            path, f"expression {text!r} is not a finite real number at epsilon = {value!r}"
+        )
+    return result
 
 
-def _substitute_template(template: dict, value: float) -> dict:
-    out = json.loads(json.dumps(template))
-    potential = out.get("potential")
+def _substitute_potential(template: dict, value: float) -> dict:
+    """The template's potential object with V's expressions evaluated at ``value``."""
+    potential = template.get("potential")
     if not isinstance(potential, dict) or not isinstance(potential.get("V"), list):
         raise SchemaError("/template/potential/V", "missing potential matrix")
-    rows = potential["V"]
-    for i, row in enumerate(rows):
+    rows = []
+    for i, row in enumerate(potential["V"]):
         if not isinstance(row, list):
             raise SchemaError(f"/template/potential/V/{i}", "expected a list")
-        for j, entry in enumerate(row):
-            if isinstance(entry, str):
-                rows[i][j] = _eval_parameter_expression(
-                    entry, value, f"/template/potential/V/{i}/{j}"
-                )
-    return out
+        rows.append(
+            [
+                _eval_parameter_expression(entry, value, f"/template/potential/V/{i}/{j}")
+                if isinstance(entry, str)
+                else entry
+                for j, entry in enumerate(row)
+            ]
+        )
+    return {**potential, "V": rows}
+
+
+def _range_endpoint(raw: dict, key: str) -> float:
+    value = raw.get(key, 0)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"/range/{key}", f"expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise SchemaError(f"/range/{key}", "number must be finite")
+    return x
 
 
 def _sweep_values(spec: dict) -> np.ndarray:
     raw = spec.get("range")
     if not isinstance(raw, dict):
         raise SchemaError("/range", "expected an object")
-    start = float(raw.get("start", 0))
-    stop = float(raw.get("stop", 0))
+    start = _range_endpoint(raw, "start")
+    stop = _range_endpoint(raw, "stop")
     points = raw.get("points")
     if not isinstance(points, int) or points < 2:
         raise SchemaError("/range/points", "expected an integer >= 2")
@@ -211,13 +236,10 @@ def _sweep_values(spec: dict) -> np.ndarray:
     raise SchemaError("/range/spacing", f"unknown spacing {spacing!r}")
 
 
-def _sweep_point(payload) -> tuple:
-    template, base_dir, value = payload
-    problem = parse_problem(_substitute_template(template, value), base_dir)
-    m = moments(problem.distribution)
-    initial = moment_energy(m, problem.potential)
-    sl = linear_gardner_energy(m, problem.potential)
-    sp = linear_gromov_energy(m, problem.potential)
+def _sweep_point(m, potential, value: float) -> tuple:
+    initial = moment_energy(m, potential)
+    sl = linear_gardner_energy(m, potential)
+    sp = linear_gromov_energy(m, potential)
     return (value, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
 
 
@@ -235,16 +257,17 @@ def cmd_sweep(args) -> int:
     template = spec.get("template")
     if not isinstance(template, dict):
         raise SchemaError("/template", "expected a problem object")
-    values = _sweep_values(spec)
+    values = [float(v) for v in _sweep_values(spec)]
     base_dir = os.path.dirname(os.path.abspath(args.spec))
-    payloads = [(template, base_dir, float(v)) for v in values]
-    # the first point runs here, so a bad template fails before any pool starts
-    rows = [_sweep_point(payloads[0])]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows.extend(pool.map(_sweep_point, payloads[1:]))
-    else:
-        rows.extend(_sweep_point(p) for p in payloads[1:])
+    # only V depends on epsilon: the rest of the template is parsed once
+    first = {**template, "potential": _substitute_potential(template, values[0])}
+    problem = parse_problem(first, base_dir, root="/template")
+    m = moments(problem.distribution)
+    rows = [_sweep_point(m, problem.potential, values[0])]
+    for value in values[1:]:
+        obj = _substitute_potential(template, value)
+        potential = parse_potential(obj, problem.dim, "/template/potential")
+        rows.append(_sweep_point(m, potential, value))
 
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
@@ -291,6 +314,12 @@ def cmd_restack(args) -> int:
         raise SchemaError("/levels", f"unparsable level list {args.levels!r}") from None
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise SchemaError("/levels", "levels must be strictly increasing")
+    if levels[0] < 0:
+        raise SchemaError("/levels", f"levels must be nonnegative, got {levels[0]}")
+    if not 0 < args.base_spacing < math.inf:
+        raise SchemaError(
+            "/base-spacing", f"must be positive and finite, got {args.base_spacing}"
+        )
     lower, upper = _restack_box(problem)
     evaluate = density(problem.distribution)
     base = RestackProblem(
@@ -351,12 +380,20 @@ def _load_matrix_argument(text: str, label: str) -> np.ndarray:
 def cmd_verify(args) -> int:
     if args.kind != "ellipsoid" and args.trials < 1:
         raise SchemaError("/trials", f"must be at least 1, got {args.trials}")
+    if args.kind != "ellipsoid" and not 0 <= args.scale < math.inf:
+        raise SchemaError("/scale", f"must be nonnegative and finite, got {args.scale}")
     if args.kind == "theorem":
         if not args.problem:
             raise SchemaError("/problem", "verify theorem needs --problem")
         problem = load_problem(args.problem)
         if problem.dim % 2:
             raise SchemaError("/dim", "verification needs an even dimension")
+        w = np.linalg.eigvalsh(problem.potential.matrix)
+        if not is_definite(w):
+            raise SchemaError(
+                "/potential/V",
+                f"verify theorem needs a positive definite V (eigenvalue {w[0]:.6e})",
+            )
         m = moments(problem.distribution)
         sampler = SymplecticSampler(problem.dof, args.seed, args.scale)
         result = check_trace_minimum(
@@ -376,6 +413,16 @@ def cmd_verify(args) -> int:
     if args.kind == "nonsqueeze":
         if args.dof < 1:
             raise SchemaError("/dof", f"must be at least 1, got {args.dof}")
+        if not 0 < args.ball_radius < math.inf:
+            raise SchemaError(
+                "/ball-radius", f"must be positive and finite, got {args.ball_radius}"
+            )
+        if not 0 < args.cylinder_radius < args.ball_radius:
+            raise SchemaError(
+                "/cylinder-radius",
+                f"expected 0 < cylinder radius < ball radius {args.ball_radius}, "
+                f"got {args.cylinder_radius}",
+            )
         sampler = SymplecticSampler(args.dof, args.seed, args.scale)
         result = nonsqueeze_search(
             args.ball_radius, args.cylinder_radius, args.trials, sampler
@@ -426,12 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="energy curves over a potential parameter")
     sweep.add_argument("spec", help="sweep JSON file")
     sweep.add_argument("-o", "--output", default=None, help="write CSV here")
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process pool size for sweep points (default 1)",
-    )
     sweep.set_defaults(handler=cmd_sweep)
 
     stack = sub.add_parser("restack", help="lattice rearrangement energies")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,20 +53,37 @@ class AffineMap:
 
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
-    """Minimal energy over a map group together with the minimizing map.
+    """Minimal energy over a map group; the minimizing map is built on first read.
 
-    ``fraction`` is the ratio of the minimal to the initial energy, or None
-    when the initial energy vanishes.  ``potential_spectrum`` and
-    ``moment_spectrum`` are the symplectic spectra of V and H used in the
-    bound formulas, both descending.
+    ``map_potential`` is the definite matrix the map is built from: V, or V
+    with a ridge when V is singular.  On Sp reports ``potential_spectrum``
+    and ``moment_spectrum`` are the descending symplectic spectra of V and H
+    used in the bound formula; SL reports carry None there, because the SL
+    bound does not use them.
     """
 
     energy: float
-    fraction: Optional[float]
-    map: AffineMap
     group: str
-    potential_spectrum: np.ndarray
-    moment_spectrum: np.ndarray
+    moments: Moments
+    potential: QuadraticPotential
+    map_potential: np.ndarray
+    potential_spectrum: Optional[np.ndarray] = None
+    moment_spectrum: Optional[np.ndarray] = None
+
+    @property
+    def fraction(self) -> Optional[float]:
+        """Minimal over initial energy, or None when the initial energy vanishes."""
+        initial = moment_energy(self.moments, self.potential)
+        return self.energy / initial if initial > 0 else None
+
+    @cached_property
+    def map(self) -> AffineMap:
+        build = sl_optimal_map if self.group == "SL" else sp_optimal_map
+        return AffineMap(
+            matrix=build(self.map_potential, self.moments.second_moment),
+            center=self.moments.center.copy(),
+            target=self.potential.minimum.copy(),
+        )
 
 
 class BumpOnTailSplit(NamedTuple):
@@ -106,12 +124,10 @@ def _spectra(v: np.ndarray, h: np.ndarray) -> tuple:
 
 def _sl_energy(floor: float, v: np.ndarray, h: np.ndarray) -> float:
     """floor + 2n * det(V H)^(1/(2n)); just floor when V is singular."""
-    w_v = np.linalg.eigvalsh(v)
-    if not is_definite(w_v):
+    if not is_definite(np.linalg.eigvalsh(v)):
         return floor
-    w_h = np.linalg.eigvalsh(h)
     dim = v.shape[0]
-    mean_log = (np.log(w_v).sum() + np.log(w_h).sum()) / dim
+    mean_log = (np.linalg.slogdet(v)[1] + np.linalg.slogdet(h)[1]) / dim
     return floor + dim * math.exp(mean_log)
 
 
@@ -155,41 +171,17 @@ def sp_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return s_v @ relabel @ s_h.T
 
 
-def _report(
-    m: Moments,
-    potential: QuadraticPotential,
-    energy: float,
-    matrix: np.ndarray,
-    group: str,
-    spectra: tuple,
-) -> EnergyReport:
-    initial = moment_energy(m, potential)
-    fraction = energy / initial if initial > 0 else None
-    affine = AffineMap(
-        matrix=matrix, center=m.center.copy(), target=potential.minimum.copy()
-    )
-    return EnergyReport(
-        energy=float(energy),
-        fraction=fraction,
-        map=affine,
-        group=group,
-        potential_spectrum=spectra[0],
-        moment_spectrum=spectra[1],
-    )
-
-
 def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
     """Minimal energy over affine maps with unit-determinant linear part.
 
     The value is N*offset + 2n * det(V H)^(1/(2n)).  For singular V the
     determinant vanishes and the infimum N*offset is approached but not
-    attained; the returned map is then built from a slightly ridged V.
+    attained; the report's map is then built from a slightly ridged V.
     """
     h = _moment_matrix(m, potential)
     v = potential.matrix
     energy = _sl_energy(potential.offset * m.mass, v, h)
-    matrix = sl_optimal_map(_map_potential(v), h)
-    return _report(m, potential, energy, matrix, "SL", _spectra(v, h))
+    return EnergyReport(float(energy), "SL", m, potential, _map_potential(v))
 
 
 def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
@@ -198,14 +190,13 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     The value is N*offset + 2 * sum_k dV_k dH_(n+1-k) over the descending
     symplectic spectra.  Semidefinite V is allowed: its zero symplectic
     eigenvalues simply drop the largest moments from the sum, and the
-    returned map is built from a slightly ridged V.
+    report's map is built from a slightly ridged V.
     """
     h = _moment_matrix(m, potential)
     v = potential.matrix
     spectra = _spectra(v, h)
     energy = _sp_energy(potential.offset * m.mass, spectra)
-    matrix = sp_optimal_map(_map_potential(v), h)
-    return _report(m, potential, energy, matrix, "Sp", spectra)
+    return EnergyReport(float(energy), "Sp", m, potential, _map_potential(v), *spectra)
 
 
 def verify_map_optimality(
@@ -282,11 +273,9 @@ def degenerate_limit(
             f"extrapolated limit {extrapolated!r} disagrees with the direct "
             f"formula {direct!r} beyond relative tolerance {agreement_rtol}"
         )
-    energy = max(extrapolated, floor)
-
-    build = sl_optimal_map if group == "SL" else sp_optimal_map
-    matrix = build(v + eps[-1] * eye, h)
-    return _report(m, potential, energy, matrix, group, _spectra(v, h))
+    energy = float(max(extrapolated, floor))
+    spectra = _spectra(v, h) if group == "Sp" else (None, None)
+    return EnergyReport(energy, group, m, potential, v + eps[-1] * eye, *spectra)
 
 
 def bump_on_tail_1d(

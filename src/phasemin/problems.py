@@ -260,35 +260,42 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
     raise SchemaError(f"{path}/type", f"unknown distribution type {kind!r}")
 
 
-def parse_problem(obj, base_dir: str = ".") -> Problem:
+def parse_problem(obj, base_dir: str = ".", root: str = "") -> Problem:
+    """Parse a problem object; error pointers start with ``root``.
+
+    Errors inside a grid file that the distribution names keep pointers
+    into that file.
+    """
     if not isinstance(obj, dict):
-        raise SchemaError("/", "problem file must hold an object")
+        raise SchemaError(root or "/", "problem file must hold an object")
     has_n = "n" in obj
     has_dim = "dim" in obj
     if has_n == has_dim:
-        raise SchemaError("/", "exactly one of 'n' and 'dim' is required")
+        raise SchemaError(root or "/", "exactly one of 'n' and 'dim' is required")
     if has_n:
-        dof = _integer(obj["n"], "/n")
+        dof = _integer(obj["n"], f"{root}/n")
         if dof < 1:
-            raise SchemaError("/n", f"must be positive, got {dof}")
+            raise SchemaError(f"{root}/n", f"must be positive, got {dof}")
         dim = 2 * dof
     else:
-        dim = _integer(obj["dim"], "/dim")
+        dim = _integer(obj["dim"], f"{root}/dim")
         if dim < 1:
-            raise SchemaError("/dim", f"must be positive, got {dim}")
-    potential = parse_potential(_require(obj, "potential", ""), dim)
+            raise SchemaError(f"{root}/dim", f"must be positive, got {dim}")
+    potential = parse_potential(
+        _require(obj, "potential", root), dim, f"{root}/potential"
+    )
     distribution = parse_distribution(
-        _require(obj, "distribution", ""), dim, "/distribution", base_dir
+        _require(obj, "distribution", root), dim, f"{root}/distribution", base_dir
     )
     box = None
     if "box" in obj:
         raw = obj["box"]
         if not isinstance(raw, dict):
-            raise SchemaError("/box", "expected an object with 'lo' and 'hi'")
-        lo = _vector(_require(raw, "lo", "/box"), dim, "/box/lo")
-        hi = _vector(_require(raw, "hi", "/box"), dim, "/box/hi")
+            raise SchemaError(f"{root}/box", "expected an object with 'lo' and 'hi'")
+        lo = _vector(_require(raw, "lo", f"{root}/box"), dim, f"{root}/box/lo")
+        hi = _vector(_require(raw, "hi", f"{root}/box"), dim, f"{root}/box/hi")
         if np.any(hi <= lo):
-            raise SchemaError("/box", "'hi' must exceed 'lo' componentwise")
+            raise SchemaError(f"{root}/box", "'hi' must exceed 'lo' componentwise")
         box = (lo, hi)
     return Problem(dim=dim, potential=potential, distribution=distribution, box=box)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import phasemin.cli
+import phasemin.energy
 from phasemin.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -15,7 +16,10 @@ from phasemin.cli import (
     SWEEP_CSV_HEADER,
     main,
 )
+from phasemin.distributions import moment_energy, moments
+from phasemin.energy import linear_gardner_energy, linear_gromov_energy
 from phasemin.linalg import symplectic_residual
+from phasemin.problems import parse_problem
 
 
 def write_json(path, payload):
@@ -187,23 +191,20 @@ def test_sweep_tracks_the_symplectic_kink(tmp_path, capsys):
         assert row[5] == pytest.approx(e_sp / (6.0 + eps**2), rel=1e-12)
 
 
-def test_sweep_is_deterministic_and_worker_count_invariant(tmp_path, capsys):
+def test_sweep_is_deterministic(tmp_path, capsys):
     path = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
-    _, serial_a, _ = run(capsys, ["sweep", path])
-    _, serial_b, _ = run(capsys, ["sweep", path])
-    assert serial_a == serial_b
-    code, parallel, _ = run(capsys, ["sweep", path, "--workers", "2"])
-    assert code == EXIT_OK
-    assert parallel == serial_a
+    _, first, _ = run(capsys, ["sweep", path])
+    _, second, _ = run(capsys, ["sweep", path])
+    assert first == second
 
 
 def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     evaluated = []
     evaluate = phasemin.cli._sweep_point
 
-    def counting(payload):
-        evaluated.append(payload[2])
-        return evaluate(payload)
+    def counting(m, potential, value):
+        evaluated.append(value)
+        return evaluate(m, potential, value)
 
     monkeypatch.setattr(phasemin.cli, "_sweep_point", counting)
     path = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
@@ -211,6 +212,48 @@ def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     assert len(out.strip().split("\n")) == 6
     np.testing.assert_allclose(evaluated, [0.2, 0.65, 1.1, 1.55, 2.0], rtol=1e-12)
+
+
+def test_sweep_rows_match_per_point_evaluation(tmp_path, capsys):
+    spec = sweep_spec(0.2, 2.0, 5, spacing="log")
+    spec["template"]["potential"]["V"][0][1] = "0.1*epsilon"
+    spec["template"]["potential"]["V"][1][0] = "0.1*epsilon"
+    path = write_json(tmp_path / "s.json", spec)
+    code, out, _ = run(capsys, ["sweep", path])
+    assert code == EXIT_OK
+    expected = [SWEEP_CSV_HEADER]
+    for eps in np.logspace(np.log10(0.2), np.log10(2.0), 5):
+        eps = float(eps)
+        problem_spec = gaussian_problem(eps)
+        problem_spec["potential"]["V"][0][1] = 0.1 * eps
+        problem_spec["potential"]["V"][1][0] = 0.1 * eps
+        problem = parse_problem(problem_spec)
+        m = moments(problem.distribution)
+        sl = linear_gardner_energy(m, problem.potential)
+        sp = linear_gromov_energy(m, problem.potential)
+        initial = moment_energy(m, problem.potential)
+        row = (eps, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
+        expected.append(",".join(f"{x:.17g}" for x in row))
+    assert out == "\n".join(expected) + "\n"
+
+
+def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    for name in ("sl_optimal_map", "sp_optimal_map"):
+
+        def counting(v, h, name=name, build=getattr(phasemin.energy, name)):
+            built.append(name)
+            return build(v, h)
+
+        monkeypatch.setattr(phasemin.energy, name, counting)
+    sweep = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
+    assert run(capsys, ["sweep", sweep])[0] == EXIT_OK
+    assert built == []
+    problem = write_json(tmp_path / "p.json", gaussian_problem(0.5))
+    assert run(capsys, ["bounds", problem])[0] == EXIT_OK
+    assert sorted(built) == ["sl_optimal_map", "sp_optimal_map"]
 
 
 def test_sweep_log_spacing(tmp_path, capsys):
@@ -510,6 +553,11 @@ IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
          "/first"),
         (["ellipsoid", "--first", IDENTITY_2, "--second", "[[1.0, 2.0], [2.0, 1.0]]"],
          "/second"),
+        (["theorem", "--problem", "PROBLEM", "--scale", "-1"], "/scale"),
+        (["nonsqueeze", "--scale", "-1"], "/scale"),
+        (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
+        (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
+        (["theorem", "--problem", "SEMIDEFINITE"], "/potential/V"),
     ],
     ids=[
         "theorem-zero-trials",
@@ -518,12 +566,70 @@ IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
         "nonsqueeze-zero-dof",
         "ellipsoid-singular-first",
         "ellipsoid-indefinite-second",
+        "theorem-negative-scale",
+        "nonsqueeze-negative-scale",
+        "nonsqueeze-cylinder-wider-than-ball",
+        "nonsqueeze-infinite-ball",
+        "theorem-semidefinite-potential",
     ],
 )
 def test_verify_rejects_inputs_outside_the_contract(tmp_path, capsys, argv, pointer):
-    problem = write_json(tmp_path / "p.json", gaussian_problem(0.25))
-    argv = ["verify"] + [problem if a == "PROBLEM" else a for a in argv]
+    files = {
+        "PROBLEM": write_json(tmp_path / "p.json", gaussian_problem(0.25)),
+        # V = diag(1, 0, 1, 1): bounds accepts it, the trace bound needs definite V
+        "SEMIDEFINITE": write_json(tmp_path / "semi.json", gaussian_problem(0.0)),
+    }
+    argv = ["verify"] + [files.get(a, a) for a in argv]
     code, out, err = run(capsys, argv)
+    assert code == EXIT_SCHEMA
+    assert out == ""
+    assert err.startswith(f"schema error at {pointer}: ")
+
+
+def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
+    spec = sweep_spec(start, 1.5, 3)
+    spec["template"]["potential"]["V"][1][1] = entry
+    spec["template"].update(template_fields)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "argv, spec, pointer",
+    [
+        (["sweep"], sweep_with("epsilon/0"), "/template/potential/V/1/1"),
+        (["sweep"], sweep_with("10.0**400*epsilon"), "/template/potential/V/1/1"),
+        (["sweep"], sweep_with("(-epsilon)**0.5"), "/template/potential/V/1/1"),
+        (["sweep"], sweep_with("1 - epsilon"), "/template/potential/V"),
+        (["sweep"], sweep_with(start="a"), "/range/start"),
+        (["sweep"], sweep_with(n=0), "/template/n"),
+        (["sweep"], sweep_with(distribution={"type": "cube"}),
+         "/template/distribution/type"),
+        # pointers of errors inside a named grid file point into that file
+        (["sweep"], sweep_with(distribution={"type": "grid", "file": "grid.json"}),
+         "/shape/0"),
+        (["restack", "--levels", "0", "--base-spacing", "0"],
+         uniform_interval_problem(), "/base-spacing"),
+        (["restack", "--levels", "-1"], uniform_interval_problem(), "/levels"),
+    ],
+    ids=[
+        "sweep-division-by-zero",
+        "sweep-overflow",
+        "sweep-complex-value",
+        "sweep-indefinite-at-a-later-point",
+        "sweep-non-numeric-start",
+        "sweep-template-size",
+        "sweep-template-distribution",
+        "sweep-template-grid-file",
+        "restack-zero-base-spacing",
+        "restack-negative-level",
+    ],
+)
+def test_sweep_and_restack_reject_inputs_outside_the_contract(
+    tmp_path, capsys, argv, spec, pointer
+):
+    write_json(tmp_path / "grid.json", {"dim": 2, "shape": [2.5, 2]})
+    path = write_json(tmp_path / "input.json", spec)
+    code, out, err = run(capsys, [argv[0], path] + argv[1:])
     assert code == EXIT_SCHEMA
     assert out == ""
     assert err.startswith(f"schema error at {pointer}: ")

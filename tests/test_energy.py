@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from conftest import (
@@ -32,7 +33,7 @@ from phasemin.energy import (
     verify_map_optimality,
 )
 from phasemin.errors import DegenerateMoments, DimensionError, NumericalInstability
-from phasemin.linalg import symplectic_residual
+from phasemin.linalg import symplectic_form, symplectic_residual
 from phasemin.verify import SymplecticSampler
 
 EPS_FAMILY = (0.1, 0.5, 1.0, 2.0, 3.0)
@@ -143,6 +144,34 @@ def test_equality_for_constant_anti_sorted_products():
         sp = linear_gromov_energy(m, pot)
         assert sp.energy == pytest.approx(2 * dof * constant, rel=1e-8)
         assert sp.energy == pytest.approx(sl.energy, rel=1e-8)
+
+
+def constructed_spectrum_matrix(rng, spectrum):
+    """P diag(d, d) P.T with P = expm(J A) symplectic: its spectrum is exactly d."""
+    n = spectrum.shape[0]
+    a = rng.normal(scale=0.2, size=(2 * n, 2 * n))
+    p = expm(symplectic_form(n) @ (a + a.T) / 2.0)
+    m = p @ np.diag(np.concatenate([spectrum, spectrum])) @ p.T
+    return (m + m.T) / 2.0
+
+
+@pytest.mark.parametrize("dof", (1, 2, 3, 4, 8))
+def test_sl_energy_matches_constructed_spectra(dof):
+    # spectra spread over [1/s, s]; summing the logs of eigvalsh values
+    # missed the SL energy by 7e-9 at s = 1e4
+    rng = np.random.default_rng(dof)
+    for spread in (1e1, 1e2, 1e3, 1e4):
+        for _ in range(4):
+            # at dof = 1 the values are spread and 1 / spread
+            d_v = np.geomspace(spread, 1.0 / spread, dof)
+            d_h = rng.permutation(np.geomspace(1.0 / spread, spread, dof))
+            m = moments_from_matrix(constructed_spectrum_matrix(rng, d_h))
+            pot = QuadraticPotential(
+                0.0, np.zeros(2 * dof), constructed_spectrum_matrix(rng, d_v)
+            )
+            mean_log = (np.log(d_v).sum() + np.log(d_h).sum()) / dof
+            sl = linear_gardner_energy(m, pot).energy
+            assert sl == pytest.approx(2 * dof * math.exp(mean_log), rel=5e-9)
 
 
 def test_anti_sorted_pairing_hand_case_and_optimality():
