@@ -37,7 +37,12 @@ from .distributions import (
     moment_energy,
     moments,
 )
-from .energy import linear_gardner_energy, linear_gromov_energy, verify_map_optimality
+from .energy import (
+    linear_gardner_energy,
+    linear_gromov_energy,
+    moment_matrix,
+    verify_map_optimality,
+)
 from .errors import (
     CellCapExceeded,
     DegenerateMoments,
@@ -170,11 +175,12 @@ def _eval_parameter_expression(text: str, value: float, path: str) -> float:
         raise SchemaError(path, f"unsupported token in expression {text!r}")
 
     try:
-        tree = ast.parse(text, mode="eval")
+        result = walk(ast.parse(text, mode="eval"))
     except SyntaxError:
         raise SchemaError(path, f"invalid expression {text!r}") from None
-    try:
-        result = walk(tree)
+    except (MemoryError, RecursionError):
+        # ast.parse and walk recurse once per nesting level
+        raise SchemaError(path, "expression is nested too deeply") from None
     except ArithmeticError as err:
         raise SchemaError(
             path, f"expression {text!r} fails at epsilon = {value!r}: {err}"
@@ -394,11 +400,9 @@ def cmd_verify(args) -> int:
                 "/potential/V",
                 f"verify theorem needs a positive definite V (eigenvalue {w[0]:.6e})",
             )
-        m = moments(problem.distribution)
+        h = moment_matrix(moments(problem.distribution), problem.potential)
         sampler = SymplecticSampler(problem.dof, args.seed, args.scale)
-        result = check_trace_minimum(
-            problem.potential.matrix, m.second_moment, args.trials, sampler
-        )
+        result = check_trace_minimum(problem.potential.matrix, h, args.trials, sampler)
         payload = {
             "kind": "theorem",
             "trials": args.trials,

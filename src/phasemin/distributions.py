@@ -196,6 +196,11 @@ class Particles:
         return self.points.shape[1]
 
 
+def cell_axes(origin, spacing: float, shape) -> list:
+    """Cell midpoints along each axis of a lattice: origin[k] + spacing * (i + 0.5)."""
+    return [origin[k] + spacing * (np.arange(n) + 0.5) for k, n in enumerate(shape)]
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Piecewise-constant density on a uniform lattice of cubic cells.
@@ -243,10 +248,7 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         """Midpoints of all cells as a (cell_count, dim) array in row-major order."""
-        axes = [
-            self.origin[k] + self.spacing * (np.arange(self.shape[k]) + 0.5)
-            for k in range(self.dim)
-        ]
+        axes = cell_axes(self.origin, self.spacing, self.shape)
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 

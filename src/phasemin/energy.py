@@ -92,7 +92,7 @@ class BumpOnTailSplit(NamedTuple):
     gardner_energy_density: float
 
 
-def _moment_matrix(m: Moments, potential: QuadraticPotential) -> np.ndarray:
+def moment_matrix(m: Moments, potential: QuadraticPotential) -> np.ndarray:
     """H, after checking the dimensions and that H is definite."""
     if m.dim != potential.dim:
         raise DimensionError(
@@ -178,7 +178,7 @@ def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyRe
     determinant vanishes and the infimum N*offset is approached but not
     attained; the report's map is then built from a slightly ridged V.
     """
-    h = _moment_matrix(m, potential)
+    h = moment_matrix(m, potential)
     v = potential.matrix
     energy = _sl_energy(potential.offset * m.mass, v, h)
     return EnergyReport(float(energy), "SL", m, potential, _map_potential(v))
@@ -192,7 +192,7 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     eigenvalues simply drop the largest moments from the sum, and the
     report's map is built from a slightly ridged V.
     """
-    h = _moment_matrix(m, potential)
+    h = moment_matrix(m, potential)
     v = potential.matrix
     spectra = _spectra(v, h)
     energy = _sp_energy(potential.offset * m.mass, spectra)
@@ -240,7 +240,7 @@ def degenerate_limit(
     """
     if group not in ("SL", "Sp"):
         raise ValueError(f"group must be 'SL' or 'Sp', got {group!r}")
-    h = _moment_matrix(m, potential)
+    h = moment_matrix(m, potential)
     eps = [float(e) for e in eps_sequence]
     if len(eps) < 2:
         raise ValueError("need at least two ridge values to extrapolate")

@@ -10,21 +10,28 @@ the cells, and the resulting energy
 is the lattice approximation of the continuum rearrangement floor.  The cell
 volume factor h^dim makes levels comparable: without it the sum is a plain
 lattice sum, not an integral.
+
+Densities and cell energies are evaluated in row-major blocks of cell
+midpoints, so a lattice is never held as a (cells, dim) point array.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .distributions import Grid
+from .distributions import Grid, cell_axes
 from .errors import CellCapExceeded, EmptyDistribution, NumericalInstability
 
 DEFAULT_CELL_CAP = 4_194_304
 CELL_CAP_ENV = "PHASEMIN_MAX_CELLS"
+# most cells per evaluation block: a block's (k, dim) points stay in cache
+BLOCK_CELLS = 1 << 15
 
 
 def configured_cell_cap() -> int:
@@ -41,14 +48,48 @@ def configured_cell_cap() -> int:
     return cap
 
 
+def _evaluate_cells(fn, origin, spacing: float, shape, what: str) -> np.ndarray:
+    """``fn`` at every cell midpoint of a lattice, as one (cells,) array.
+
+    The midpoints are those of ``Grid.cell_centers``, passed to ``fn`` in
+    row-major blocks of at most BLOCK_CELLS points; each block's result must
+    have one value per point.
+    """
+    axes = cell_axes(origin, spacing, shape)
+    dim = len(shape)
+    # a block is whole rows over the trailing axes: their midpoints are
+    # written into the block buffer once, and each block sets only the
+    # leading axes
+    split = next(k for k in range(dim + 1) if math.prod(shape[k:]) <= BLOCK_CELLS)
+    row_cells = math.prod(shape[split:])
+    rows_per_block = BLOCK_CELLS // row_cells
+    points = np.empty((rows_per_block, row_cells, dim))
+    for k, mesh in enumerate(np.meshgrid(*axes[split:], indexing="ij"), split):
+        points[:, :, k] = mesh.reshape(-1)
+    rows = math.prod(shape[:split])
+    out = np.empty(rows * row_cells)
+    for first in range(0, rows, rows_per_block):
+        count = min(rows_per_block, rows - first)
+        row = np.arange(first, first + count)
+        for k in reversed(range(split)):
+            row, index = np.divmod(row, shape[k])
+            points[:count, :, k] = axes[k][index, None]
+        block = np.asarray(fn(points[:count].reshape(-1, dim)), dtype=float)
+        if block.shape != (count * row_cells,):
+            raise ValueError(f"{what} evaluator returned a wrong-sized array")
+        out[first * row_cells : (first + count) * row_cells] = block
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RestackProblem:
     """A density, an energy rule, and a lattice refinement of a box.
 
     ``density`` and ``cell_energy`` are vectorized callables over (k, dim)
-    point arrays, evaluated at cell midpoints.  The lattice at refinement
-    ``level`` has spacing ``base_spacing * 2**(-level)``; the box starting
-    at ``lower`` is extended to a whole number of cells covering ``upper``.
+    point arrays, evaluated at blocks of cell midpoints.  The lattice at
+    refinement ``level`` has spacing ``base_spacing * 2**(-level)``; the box
+    starting at ``lower`` is extended to a whole number of cells covering
+    ``upper``.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -89,62 +130,72 @@ class RestackProblem:
         return tuple(int(c) for c in counts)
 
     def build_grid(self) -> Grid:
-        """Materialize the lattice, enforcing the cell cap before allocating."""
+        """Evaluate the density on the lattice, checking the cell cap first."""
         shape = self.cell_shape()
-        cells = int(np.prod(shape))
+        cells = math.prod(shape)
         if cells > self.cell_cap:
             raise CellCapExceeded(cells, self.cell_cap)
-        grid = Grid(self.lower, self.spacing, shape, np.zeros(cells))
-        values = np.asarray(self.density(grid.cell_centers()), dtype=float)
+        values = _evaluate_cells(self.density, self.lower, self.spacing, shape, "density")
         return Grid(self.lower, self.spacing, shape, values)
 
 
 @dataclass(frozen=True, eq=False)
 class RestackResult:
-    """Energies before and after rearrangement, and the cell permutation.
+    """Energies before and after rearrangement; the permutation on first read.
 
-    ``permutation[i]`` is the flat destination cell of the value originally
-    in flat cell i (row-major over the lattice shape).  The permutation is a
-    bijection, so the multiset of cell values is conserved exactly.
+    ``values`` and ``energies`` are the flat cell values and cell energies
+    (row-major over the lattice shape).  ``permutation[i]`` is the flat
+    destination cell of the value originally in flat cell i.  It is built
+    from ``values`` and ``energies`` only when read, by stable sorts with the
+    flat cell index as the tie-break, so it is deterministic for equal
+    values or equal energies.  It is a bijection, so the multiset of cell
+    values is conserved exactly.
     """
 
     energy: float
     pre_energy: float
-    permutation: np.ndarray
-    cells: int
     spacing: float
+    values: np.ndarray = field(repr=False)
+    energies: np.ndarray = field(repr=False)
+
+    @property
+    def cells(self) -> int:
+        return self.values.shape[0]
+
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        permutation = np.empty(self.cells, dtype=np.int64)
+        permutation[np.argsort(-self.values, kind="stable")] = np.argsort(
+            self.energies, kind="stable"
+        )
+        return permutation
 
 
 def restack_grid(grid: Grid, cell_energy) -> RestackResult:
-    """Rearrange an existing lattice density onto its lowest-energy cells.
-
-    Both sorts are stable with row-major flat cell index as the tie-break,
-    so the result is deterministic for equal values or equal energies.
-    """
+    """Rearrange an existing lattice density onto its lowest-energy cells."""
     values = grid.values.reshape(-1)
     if not values.sum() > 0:
         raise EmptyDistribution("no cell carries positive density")
-    energies = np.asarray(cell_energy(grid.cell_centers()), dtype=float)
-    if energies.shape != values.shape:
-        raise ValueError("cell energy evaluator returned a wrong-sized array")
-
-    by_value = np.argsort(-values, kind="stable")
-    by_energy = np.argsort(energies, kind="stable")
+    energies = _evaluate_cells(
+        cell_energy, grid.origin, grid.spacing, grid.shape, "cell energy"
+    )
     volume = grid.spacing**grid.dim
-    stacked = volume * float(values[by_value] @ energies[by_energy])
     unmoved = volume * float(values @ energies)
+    # descending values against ascending energies, both contiguous: a
+    # reversed view has a negative stride, which the dot product may round
+    # differently
+    descending = -np.sort(-values)
+    stacked = volume * float(descending @ np.sort(energies))
     if stacked > unmoved * (1 + 1e-12) + 1e-300:
         raise NumericalInstability(
             "rearranged energy exceeds the unmoved energy; sort inconsistency"
         )
-    permutation = np.empty(values.shape[0], dtype=np.int64)
-    permutation[by_value] = by_energy
     return RestackResult(
         energy=stacked,
         pre_energy=unmoved,
-        permutation=permutation,
-        cells=values.shape[0],
         spacing=grid.spacing,
+        values=values,
+        energies=energies,
     )
 
 

@@ -171,6 +171,24 @@ def test_point_mass_moments_are_degenerate(tmp_path, capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["bounds"], ["verify", "theorem", "--problem"]], ids=["bounds", "verify-theorem"]
+)
+def test_singular_moments_are_degenerate_input(tmp_path, capsys, argv):
+    # two particles on one axis in 4-D: H has rank one
+    spec = gaussian_problem(1.0)
+    spec["distribution"] = {
+        "type": "particles",
+        "points": [[-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+        "weights": [1.0, 1.0],
+    }
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, err = run(capsys, argv + [path])
+    assert code == EXIT_DEGENERATE
+    assert out == ""
+    assert err.startswith("degenerate input: second-moment matrix is singular")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -600,6 +618,9 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         (["sweep"], sweep_with("10.0**400*epsilon"), "/template/potential/V/1/1"),
         (["sweep"], sweep_with("(-epsilon)**0.5"), "/template/potential/V/1/1"),
         (["sweep"], sweep_with("1 - epsilon"), "/template/potential/V"),
+        (["sweep"], sweep_with("-" * 100_000 + "epsilon"), "/template/potential/V/1/1"),
+        (["sweep"], sweep_with("-" * 5_000 + "epsilon"), "/template/potential/V/1/1"),
+        (["sweep"], sweep_with("epsilon+" * 1_500 + "epsilon"), "/template/potential/V/1/1"),
         (["sweep"], sweep_with(start="a"), "/range/start"),
         (["sweep"], sweep_with(n=0), "/template/n"),
         (["sweep"], sweep_with(distribution={"type": "cube"}),
@@ -616,6 +637,10 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         "sweep-overflow",
         "sweep-complex-value",
         "sweep-indefinite-at-a-later-point",
+        # parser stack overflow (MemoryError), parser recursion, walk recursion
+        "sweep-nesting-beyond-the-parser-stack",
+        "sweep-nesting-beyond-the-parser-recursion",
+        "sweep-nesting-beyond-the-walk-recursion",
         "sweep-non-numeric-start",
         "sweep-template-size",
         "sweep-template-distribution",

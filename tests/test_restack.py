@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from phasemin.distributions import (
 from phasemin.energy import linear_gardner_energy
 from phasemin.errors import CellCapExceeded, EmptyDistribution
 from phasemin.restack import (
+    BLOCK_CELLS,
     CELL_CAP_ENV,
     DEFAULT_CELL_CAP,
     RestackProblem,
@@ -187,6 +189,114 @@ def test_wrong_sized_energy_evaluator_is_rejected():
         restack_grid(grid, lambda pts: np.ones(3))
 
 
+def argsort_restack(grid, cell_energy):
+    """(energy, pre_energy, permutation) by stable argsorts over full centers."""
+    values = grid.values.reshape(-1)
+    energies = np.asarray(cell_energy(grid.cell_centers()), dtype=float)
+    by_value = np.argsort(-values, kind="stable")
+    by_energy = np.argsort(energies, kind="stable")
+    volume = grid.spacing**grid.dim
+    permutation = np.empty(values.size, dtype=np.int64)
+    permutation[by_value] = by_energy
+    return (
+        volume * float(values[by_value] @ energies[by_energy]),
+        volume * float(values @ energies),
+        permutation,
+    )
+
+
+def quantized(fn, step):
+    # rounding onto a coarse ladder of levels ties many cells
+    return lambda points: np.floor(fn(points) / step) * step
+
+
+# several full blocks and a partial one in every dimension: blocks are
+# 32768 cells in 1-D, 59 rows of 547 cells in 2-D, and 36 rows of 29*31
+# cells over two leading axes in 4-D
+BLOCKED_SHAPES = [(3 * BLOCK_CELLS + 5,), (181, 547), (3, 37, 29, 31)]
+
+
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=["1d", "2d", "4d"])
+def test_blocked_restack_equals_the_argsort_formulation(shape):
+    assert math.prod(shape) > 2 * BLOCK_CELLS
+    dim = len(shape)
+    spacing = 4.0 / max(shape)
+    lower = -0.5 * spacing * np.asarray(shape, dtype=float)
+    # the ball leaves zero cells; quantized values and a potential centered
+    # on the lattice tie values and energies
+    blob = Mixture(
+        (
+            Gaussian(1.0, np.full(dim, 0.3), 0.5 * np.eye(dim)),
+            BallIndicator(1.5, np.zeros(dim), 0.25),
+        )
+    )
+    pot = QuadraticPotential(0.5, np.zeros(dim), np.eye(dim))
+    problem = RestackProblem(
+        density=quantized(density(blob), 0.125),
+        cell_energy=quantized(pot.evaluate, 0.25),
+        lower=lower,
+        upper=-lower,
+        level=0,
+        base_spacing=spacing,
+    )
+    assert problem.cell_shape() == shape
+    grid = problem.build_grid()
+    centers = grid.cell_centers()
+    values = grid.values.reshape(-1)
+    assert np.array_equal(values, problem.density(centers))
+    assert np.count_nonzero(values == 0) > 0
+    assert np.unique(values).size < values.size // 100
+    assert np.unique(problem.cell_energy(centers)).size < values.size // 100
+
+    for cell_energy in (pot.evaluate, problem.cell_energy):
+        energy, pre_energy, permutation = argsort_restack(grid, cell_energy)
+        result = restack_grid(grid, cell_energy)
+        assert result.energy == energy
+        assert result.pre_energy == pre_energy
+        assert np.array_equal(result.permutation, permutation)
+    # restack builds the same grid and pairs it with problem.cell_energy
+    result = restack(problem)
+    assert (result.energy, result.pre_energy) == (energy, pre_energy)
+    assert np.array_equal(result.permutation, permutation)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda pts: 1.0, lambda pts: np.ones(len(pts) - 1), lambda pts: np.ones((len(pts), 1))],
+    ids=["scalar", "short", "column"],
+)
+def test_wrong_shaped_evaluators_are_rejected_in_every_block(wrong):
+    # right on the full first block, wrong only on the partial last one
+    def evaluator(points):
+        return np.ones(len(points)) if len(points) == BLOCK_CELLS else wrong(points)
+
+    cells = BLOCK_CELLS + 3
+    grid = Grid([0.0], 1.0, (cells,), np.ones(cells))
+    with pytest.raises(ValueError, match="cell energy evaluator returned a wrong-sized array"):
+        restack_grid(grid, evaluator)
+    problem = RestackProblem(evaluator, KINETIC_1D.evaluate, [0.0], [float(cells)], 0)
+    with pytest.raises(ValueError, match="density evaluator returned a wrong-sized array"):
+        problem.build_grid()
+
+
+def test_restack_holds_no_center_array():
+    # a 30^4 lattice: values, energies and the two sorted copies are 32 B a
+    # cell; (cells, dim) center arrays and argsort indices would be 96
+    gauss = Gaussian(1.0, np.zeros(4), np.diag([0.5, 0.6, 0.7, 0.8]))
+    pot = QuadraticPotential(0.0, np.zeros(4), np.eye(4))
+    problem = RestackProblem(density(gauss), pot.evaluate, [-3.0] * 4, [3.0] * 4, 0, 0.2)
+    cells = math.prod(problem.cell_shape())
+    assert cells == 30**4
+    tracemalloc.start()
+    try:
+        result = restack(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.cells == cells
+    assert peak <= 48 * cells
+
+
 def test_problem_geometry():
     problem = uniform_interval_problem(3)
     assert problem.spacing == pytest.approx(0.125)
@@ -224,6 +334,21 @@ def test_cell_cap_blocks_before_allocation():
         problem.build_grid()
     assert info.value.requested == 2048
     assert info.value.cap == 100
+
+
+def test_cell_cap_counts_cells_without_overflow():
+    # 2e17 cells per axis fit in int64, their product 4e34 does not
+    problem = RestackProblem(
+        density=density(BallIndicator(1.0, [0.0, 0.0])),
+        cell_energy=KINETIC_1D.evaluate,
+        lower=[-1.0, -1.0],
+        upper=[1.0, 1.0],
+        level=0,
+        base_spacing=1e-17,
+    )
+    with pytest.raises(CellCapExceeded) as info:
+        problem.build_grid()
+    assert info.value.requested == math.prod(problem.cell_shape()) > 10**34
 
 
 def test_configured_cell_cap(monkeypatch):
