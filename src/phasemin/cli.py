@@ -47,11 +47,21 @@ from .errors import (
     CellCapExceeded,
     DegenerateMoments,
     EmptyDistribution,
+    NotPositiveDefinite,
     PhaseMinError,
     SchemaError,
 )
-from .linalg import INPUT_SYMMETRY_RTOL, is_definite, symmetrize
-from .problems import Problem, load_problem, parse_potential, parse_problem
+from .linalg import require_definite
+from .problems import (
+    Problem,
+    integer,
+    load_problem,
+    number,
+    parse_potential,
+    parse_problem,
+    read_json,
+    symmetric_matrix,
+)
 from .restack import RestackProblem, configured_cell_cap, restack
 from .verify import (
     SymplecticSampler,
@@ -105,15 +115,14 @@ def _map_payload(report):
 
 def cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
-    if problem.dim % 2:
-        raise SchemaError("/dim", "bounds needs an even phase-space dimension")
+    dof = problem.dof
     m = moments(problem.distribution)
     initial = moment_energy(m, problem.potential)
     sl = linear_gardner_energy(m, problem.potential)
     sp = linear_gromov_energy(m, problem.potential)
     payload = {
         "dim": problem.dim,
-        "dof": problem.dof,
+        "dof": dof,
         "mass": m.mass,
         "center": m.center.tolist(),
         "second_moment": m.second_moment.tolist(),
@@ -212,25 +221,14 @@ def _substitute_potential(template: dict, value: float) -> dict:
     return {**potential, "V": rows}
 
 
-def _range_endpoint(raw: dict, key: str) -> float:
-    value = raw.get(key, 0)
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"/range/{key}", f"expected a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise SchemaError(f"/range/{key}", "number must be finite")
-    return x
-
-
 def _sweep_values(spec: dict) -> np.ndarray:
     raw = spec.get("range")
     if not isinstance(raw, dict):
         raise SchemaError("/range", "expected an object")
-    start = _range_endpoint(raw, "start")
-    stop = _range_endpoint(raw, "stop")
-    points = raw.get("points")
-    if not isinstance(points, int) or points < 2:
+    start = number(raw.get("start", 0), "/range/start")
+    stop = number(raw.get("stop", 0), "/range/stop")
+    points = integer(raw.get("points"), "/range/points")
+    if points < 2:
         raise SchemaError("/range/points", "expected an integer >= 2")
     spacing = raw.get("spacing", "linear")
     if spacing == "linear":
@@ -250,11 +248,7 @@ def _sweep_point(m, potential, value: float) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise SchemaError("/", f"sweep file is not valid JSON: {err}") from None
+    spec = read_json(args.spec, "sweep file")
     if not isinstance(spec, dict):
         raise SchemaError("/", "sweep file must hold an object")
     parameter = spec.get("parameter", "epsilon")
@@ -359,49 +353,46 @@ def cmd_restack(args) -> int:
 # verify
 
 
-def _load_matrix_argument(text: str, label: str) -> np.ndarray:
+def _load_matrix_argument(text: str, label: str, size=None) -> np.ndarray:
+    """A definite shape matrix of even side ``size`` (any even side if None)."""
+    pointer = f"/{label}"
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
-        try:
-            with open(text, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"/{label}", f"not valid JSON: {err}") from None
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise SchemaError(f"/{label}", f"expected a square matrix, got shape {arr.shape}")
-    try:
-        matrix = symmetrize(arr, rtol=INPUT_SYMMETRY_RTOL)
-    except ValueError as err:
-        raise SchemaError(f"/{label}", str(err)) from None
-    w = np.linalg.eigvalsh(matrix)
-    if not is_definite(w):
+        raw = read_json(text, "matrix file", pointer)
+    except RecursionError:
+        raise SchemaError(pointer, "matrix is nested too deeply") from None
+    matrix = symmetric_matrix(raw, size, pointer)
+    if matrix.shape[0] % 2:
         raise SchemaError(
-            f"/{label}", f"matrix is not positive definite (eigenvalue {w[0]:.6e})"
+            pointer, f"phase-space dimension must be even, got {matrix.shape[0]}"
         )
-    return matrix
+    try:
+        return require_definite(matrix, "matrix")
+    except NotPositiveDefinite as err:
+        raise SchemaError(pointer, str(err)) from None
 
 
 def cmd_verify(args) -> int:
-    if args.kind != "ellipsoid" and args.trials < 1:
-        raise SchemaError("/trials", f"must be at least 1, got {args.trials}")
-    if args.kind != "ellipsoid" and not 0 <= args.scale < math.inf:
-        raise SchemaError("/scale", f"must be nonnegative and finite, got {args.scale}")
+    if args.kind != "ellipsoid":
+        if args.trials < 1:
+            raise SchemaError("/trials", f"must be at least 1, got {args.trials}")
+        if not 0 <= args.scale < math.inf:
+            raise SchemaError(
+                "/scale", f"must be nonnegative and finite, got {args.scale}"
+            )
+        if args.seed < 0:
+            raise SchemaError("/seed", f"must be nonnegative, got {args.seed}")
     if args.kind == "theorem":
         if not args.problem:
             raise SchemaError("/problem", "verify theorem needs --problem")
         problem = load_problem(args.problem)
-        if problem.dim % 2:
-            raise SchemaError("/dim", "verification needs an even dimension")
-        w = np.linalg.eigvalsh(problem.potential.matrix)
-        if not is_definite(w):
-            raise SchemaError(
-                "/potential/V",
-                f"verify theorem needs a positive definite V (eigenvalue {w[0]:.6e})",
-            )
-        h = moment_matrix(moments(problem.distribution), problem.potential)
         sampler = SymplecticSampler(problem.dof, args.seed, args.scale)
+        try:
+            require_definite(problem.potential.matrix, "V")
+        except NotPositiveDefinite as err:
+            raise SchemaError("/potential/V", str(err)) from None
+        h = moment_matrix(moments(problem.distribution), problem.potential)
         result = check_trace_minimum(problem.potential.matrix, h, args.trials, sampler)
         payload = {
             "kind": "theorem",
@@ -444,8 +435,12 @@ def cmd_verify(args) -> int:
         _emit(_json_report(payload), args.output)
         return EXIT_OK if result.successes == 0 else EXIT_VERIFY_FAILED
 
+    if not args.first or not args.second:
+        raise SchemaError("/first", "verify ellipsoid needs --first and --second")
+    if not 0 <= args.tol < math.inf:
+        raise SchemaError("/tol", f"must be nonnegative and finite, got {args.tol}")
     first = _load_matrix_argument(args.first, "first")
-    second = _load_matrix_argument(args.second, "second")
+    second = _load_matrix_argument(args.second, "second", first.shape[0])
     equivalent = ellipsoids_equivalent(first, second, tol=args.tol)
     payload = {
         "kind": "ellipsoid",
@@ -514,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.kind == "ellipsoid":
-        if not args.first or not args.second:
-            print(
-                "schema error at /first: verify ellipsoid needs --first and --second",
-                file=sys.stderr,
-            )
-            return EXIT_SCHEMA
     try:
         return args.handler(args)
     except SchemaError as err:

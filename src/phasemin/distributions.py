@@ -15,13 +15,8 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EmptyDistribution,
-    NotPositiveDefinite,
-    NotSemidefinite,
-)
-from .linalg import is_definite, is_semidefinite, sym_eig, symmetrize
+from .errors import DimensionError, EmptyDistribution, NotSemidefinite
+from .linalg import is_semidefinite, require_definite, sym_eig, symmetrize
 
 
 def sphere_surface_area(k: int) -> float:
@@ -102,14 +97,8 @@ class Gaussian:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = symmetrize(self.covariance)
+        cov = require_definite(self.covariance, "covariance")
         mean = _vector(self.mean, cov.shape[0], "mean")
-        w = np.linalg.eigvalsh(cov)
-        if not is_definite(w):
-            raise NotPositiveDefinite(
-                f"covariance is not positive definite (eigenvalue {w[0]:.6e})",
-                eigenvalue=w[0],
-            )
         if not self.weight > 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
         object.__setattr__(self, "weight", float(self.weight))
@@ -152,13 +141,7 @@ class EllipsoidIndicator:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        mat = symmetrize(self.matrix)
-        w = np.linalg.eigvalsh(mat)
-        if not is_definite(w):
-            raise NotPositiveDefinite(
-                f"ellipsoid matrix is not positive definite (eigenvalue {w[0]:.6e})",
-                eigenvalue=w[0],
-            )
+        mat = require_definite(self.matrix, "ellipsoid matrix")
         if not self.amplitude > 0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         object.__setattr__(self, "matrix", mat)

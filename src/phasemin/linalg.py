@@ -62,7 +62,9 @@ def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
             f"matrix is not symmetric within tolerance {rtol} "
             f"(relative asymmetry {np.abs(a - a.T).max() / scale:.3e})"
         )
-    return (a + a.T) / 2.0
+    # halving first cannot overflow; above the subnormal range it gives the
+    # same bits as halving the sum
+    return a / 2.0 + a.T / 2.0
 
 
 @dataclass(frozen=True, eq=False)

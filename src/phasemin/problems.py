@@ -26,13 +26,17 @@ A grid file is a JSON object with ``dim``, ``shape``, ``origin``,
 or ``values_csv`` naming a sidecar CSV of one value per line (path relative
 to the grid file).
 
-Schema violations raise :class:`SchemaError` carrying a JSON-pointer path.
+Every input from outside the package is read here, the command line's
+JSON matrices and files included.  Schema violations raise
+:class:`SchemaError` carrying a JSON-pointer path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,8 +52,8 @@ from .distributions import (
     Particles,
     QuadraticPotential,
 )
-from .errors import NotPositiveDefinite, NotSemidefinite, PhaseMinError, SchemaError
-from .linalg import INPUT_SYMMETRY_RTOL
+from .errors import NotSemidefinite, PhaseMinError, SchemaError
+from .linalg import INPUT_SYMMETRY_RTOL, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,37 +70,57 @@ class Problem:
         return self.dim // 2
 
 
+def read_json(path: str, what: str, pointer: str = "/"):
+    """The JSON value in the file at ``path``; invalid JSON fails at ``pointer``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as err:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(pointer, f"{what} is not valid JSON: {err}") from None
+
+
 def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}/{key}", "missing required field")
     return obj[key]
 
 
-def _number(value, path: str) -> float:
+def number(value, path: str) -> float:
+    """A finite JSON number; booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not np.isfinite(value):
+    # exact for integers too, which may exceed every float
+    if not abs(value) <= sys.float_info.max:
         raise SchemaError(path, "number must be finite")
     return float(value)
 
 
 def _positive(value, path: str) -> float:
-    x = _number(value, path)
+    x = number(value, path)
     if not x > 0:
         raise SchemaError(path, f"must be positive, got {x}")
     return x
 
 
-def _integer(value, path: str) -> int:
+def integer(value, path: str) -> int:
+    """A JSON integer; booleans are not integers."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
     return value
 
 
+def _count(value, path: str) -> int:
+    k = integer(value, path)
+    if k < 1:
+        raise SchemaError(path, f"must be positive, got {k}")
+    return k
+
+
 def _vector(value, length, path: str) -> np.ndarray:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of numbers")
-    out = np.array([_number(v, f"{path}/{i}") for i, v in enumerate(value)])
+    out = np.array([number(v, f"{path}/{i}") for i, v in enumerate(value)])
     if length is not None and out.shape[0] != length:
         raise SchemaError(path, f"expected length {length}, got {out.shape[0]}")
     return out
@@ -105,78 +129,86 @@ def _vector(value, length, path: str) -> np.ndarray:
 def _matrix(value, size, path: str) -> np.ndarray:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(path, "expected a list of rows")
+    if size is None:
+        size = len(value)
     if len(value) != size or any(len(r) != size for r in value):
         raise SchemaError(path, f"expected a {size}x{size} matrix")
     out = np.array(
         [
-            [_number(x, f"{path}/{i}/{j}") for j, x in enumerate(row)]
+            [number(x, f"{path}/{i}/{j}") for j, x in enumerate(row)]
             for i, row in enumerate(value)
         ]
     )
     return out
 
 
-def _symmetric_matrix(value, size, path: str) -> np.ndarray:
+def symmetric_matrix(value, size: Optional[int], path: str) -> np.ndarray:
+    """A JSON matrix of side ``size`` (any side if None), symmetrized.
+
+    Asymmetry beyond ``INPUT_SYMMETRY_RTOL`` of the largest entry is rejected.
+    """
     out = _matrix(value, size, path)
-    scale = np.abs(out).max()
-    if scale > 0 and np.abs(out - out.T).max() > INPUT_SYMMETRY_RTOL * scale:
-        raise SchemaError(path, "matrix is not symmetric")
-    return (out + out.T) / 2.0
+    try:
+        return symmetrize(out, INPUT_SYMMETRY_RTOL)
+    except (ValueError, PhaseMinError) as err:
+        raise SchemaError(path, str(err)) from None
 
 
 def parse_potential(obj, dim: int, path: str = "/potential") -> QuadraticPotential:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    v0 = _number(_require(obj, "V0", path), f"{path}/V0")
+    v0 = number(_require(obj, "V0", path), f"{path}/V0")
     d = _vector(_require(obj, "d", path), dim, f"{path}/d")
-    v = _symmetric_matrix(_require(obj, "V", path), dim, f"{path}/V")
+    v = symmetric_matrix(_require(obj, "V", path), dim, f"{path}/V")
     try:
         return QuadraticPotential(offset=v0, minimum=d, matrix=v)
     except NotSemidefinite as err:
         raise SchemaError(f"{path}/V", str(err)) from None
 
 
-def load_grid_file(path: str) -> Grid:
-    pointer = "/"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise SchemaError(pointer, f"grid file is not valid JSON: {err}") from None
-    if not isinstance(obj, dict):
-        raise SchemaError(pointer, "grid file must hold an object")
-    dim = _integer(_require(obj, "dim", ""), "/dim")
-    if dim < 1:
-        raise SchemaError("/dim", f"must be positive, got {dim}")
-    shape = [
-        _integer(s, f"/shape/{i}")
-        for i, s in enumerate(_require(obj, "shape", ""))
-    ]
+def parse_grid(obj: dict, dim: int, root: str, csv_dir: Optional[str] = None) -> Grid:
+    """A grid from the fields of ``obj``, with error pointers under ``root``.
+
+    Only grid files pass ``csv_dir``, so only they may name ``values_csv``.
+    """
+    shape = _require(obj, "shape", root)
+    if not isinstance(shape, list):
+        raise SchemaError(f"{root}/shape", "expected a list of integers")
+    shape = tuple(_count(s, f"{root}/shape/{i}") for i, s in enumerate(shape))
     if len(shape) != dim:
-        raise SchemaError("/shape", f"expected {dim} axes, got {len(shape)}")
-    origin = _vector(_require(obj, "origin", ""), dim, "/origin")
-    spacing = _positive(_require(obj, "spacing", ""), "/spacing")
-    if "values" in obj:
-        values = np.array(
-            [_number(v, f"/values/{i}") for i, v in enumerate(obj["values"])]
-        )
-    elif "values_csv" in obj:
-        sidecar = os.path.join(os.path.dirname(path), obj["values_csv"])
+        raise SchemaError(f"{root}/shape", f"expected {dim} axes, got {len(shape)}")
+    origin = _vector(_require(obj, "origin", root), dim, f"{root}/origin")
+    spacing = _positive(_require(obj, "spacing", root), f"{root}/spacing")
+    if csv_dir is not None and "values" not in obj and "values_csv" in obj:
+        if not isinstance(obj["values_csv"], str):
+            raise SchemaError(f"{root}/values_csv", "expected a file name")
+        sidecar = os.path.join(csv_dir, obj["values_csv"])
         try:
             values = np.loadtxt(sidecar, dtype=float, ndmin=1)
         except ValueError as err:
-            raise SchemaError("/values_csv", f"unreadable CSV values: {err}") from None
+            raise SchemaError(
+                f"{root}/values_csv", f"unreadable CSV values: {err}"
+            ) from None
     else:
-        raise SchemaError("/values", "grid file needs 'values' or 'values_csv'")
-    expected = int(np.prod(shape))
+        values = _vector(_require(obj, "values", root), None, f"{root}/values")
+    expected = math.prod(shape)
     if values.size != expected:
         raise SchemaError(
-            "/values", f"expected {expected} values for shape {shape}, got {values.size}"
+            f"{root}/values",
+            f"expected {expected} values for shape {list(shape)}, got {values.size}",
         )
     try:
-        return Grid(origin, spacing, tuple(shape), values)
+        return Grid(origin, spacing, shape, values)
     except (ValueError, PhaseMinError) as err:
-        raise SchemaError("/values", str(err)) from None
+        raise SchemaError(f"{root}/values", str(err)) from None
+
+
+def load_grid_file(path: str) -> Grid:
+    obj = read_json(path, "grid file")
+    if not isinstance(obj, dict):
+        raise SchemaError("/", "grid file must hold an object")
+    dim = _count(_require(obj, "dim", ""), "/dim")
+    return parse_grid(obj, dim, "", os.path.dirname(path))
 
 
 def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
@@ -188,7 +220,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
             return Gaussian(
                 weight=_positive(_require(obj, "weight", path), f"{path}/weight"),
                 mean=_vector(_require(obj, "mean", path), dim, f"{path}/mean"),
-                covariance=_symmetric_matrix(
+                covariance=symmetric_matrix(
                     _require(obj, "covariance", path), dim, f"{path}/covariance"
                 ),
             )
@@ -200,7 +232,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
             )
         if kind == "ellipsoid":
             return EllipsoidIndicator(
-                matrix=_symmetric_matrix(
+                matrix=symmetric_matrix(
                     _require(obj, "matrix", path), dim, f"{path}/matrix"
                 ),
                 center=_vector(_require(obj, "center", path), dim, f"{path}/center"),
@@ -220,29 +252,17 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
                 raise SchemaError(f"{path}/weights", "weights must be positive")
             return Particles(points=points, weights=weights)
         if kind == "grid":
-            if "file" in obj:
-                grid = load_grid_file(os.path.join(base_dir, obj["file"]))
-                if grid.dim != dim:
-                    raise SchemaError(
-                        f"{path}/file",
-                        f"grid has dimension {grid.dim}, problem has {dim}",
-                    )
-                return grid
-            origin = _vector(_require(obj, "origin", path), dim, f"{path}/origin")
-            spacing = _positive(_require(obj, "spacing", path), f"{path}/spacing")
-            shape = [
-                _integer(s, f"{path}/shape/{i}")
-                for i, s in enumerate(_require(obj, "shape", path))
-            ]
-            values = _vector(_require(obj, "values", path), None, f"{path}/values")
-            if np.any(values < 0):
-                raise SchemaError(f"{path}/values", "cell values must be nonnegative")
-            if values.size != int(np.prod(shape)):
+            if "file" not in obj:
+                return parse_grid(obj, dim, path)
+            if not isinstance(obj["file"], str):
+                raise SchemaError(f"{path}/file", "expected a file name")
+            grid = load_grid_file(os.path.join(base_dir, obj["file"]))
+            if grid.dim != dim:
                 raise SchemaError(
-                    f"{path}/values",
-                    f"expected {int(np.prod(shape))} values, got {values.size}",
+                    f"{path}/file",
+                    f"grid has dimension {grid.dim}, problem has {dim}",
                 )
-            return Grid(origin, spacing, tuple(shape), values)
+            return grid
         if kind == "mixture":
             raw = _require(obj, "components", path)
             if not isinstance(raw, list) or not raw:
@@ -255,7 +275,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
             )
     except SchemaError:
         raise
-    except (ValueError, NotPositiveDefinite, PhaseMinError) as err:
+    except (ValueError, PhaseMinError) as err:
         raise SchemaError(path, str(err)) from None
     raise SchemaError(f"{path}/type", f"unknown distribution type {kind!r}")
 
@@ -273,14 +293,9 @@ def parse_problem(obj, base_dir: str = ".", root: str = "") -> Problem:
     if has_n == has_dim:
         raise SchemaError(root or "/", "exactly one of 'n' and 'dim' is required")
     if has_n:
-        dof = _integer(obj["n"], f"{root}/n")
-        if dof < 1:
-            raise SchemaError(f"{root}/n", f"must be positive, got {dof}")
-        dim = 2 * dof
+        dim = 2 * _count(obj["n"], f"{root}/n")
     else:
-        dim = _integer(obj["dim"], f"{root}/dim")
-        if dim < 1:
-            raise SchemaError(f"{root}/dim", f"must be positive, got {dim}")
+        dim = _count(obj["dim"], f"{root}/dim")
     potential = parse_potential(
         _require(obj, "potential", root), dim, f"{root}/potential"
     )
@@ -301,9 +316,5 @@ def parse_problem(obj, base_dir: str = ".", root: str = "") -> Problem:
 
 
 def load_problem(path: str) -> Problem:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise SchemaError("/", f"problem file is not valid JSON: {err}") from None
+    obj = read_json(path, "problem file")
     return parse_problem(obj, base_dir=os.path.dirname(os.path.abspath(path)))

@@ -124,10 +124,12 @@ class RestackProblem:
         return replace(self, level=level)
 
     def cell_shape(self) -> Tuple[int, ...]:
-        counts = np.maximum(
-            1, np.ceil((self.upper - self.lower) / self.spacing - 1e-9).astype(int)
-        )
-        return tuple(int(c) for c in counts)
+        """Cells per axis; a count that is not a finite float exceeds any cap."""
+        with np.errstate(divide="ignore", over="ignore"):
+            counts = np.ceil((self.upper - self.lower) / self.spacing - 1e-9)
+        if not np.all(np.isfinite(counts)):
+            raise CellCapExceeded(math.inf, self.cell_cap)
+        return tuple(max(1, int(c)) for c in counts.tolist())
 
     def build_grid(self) -> Grid:
         """Evaluate the density on the lattice, checking the cell cap first."""

@@ -14,12 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
-from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
+from .errors import DimensionError, NumericalInstability
 from .linalg import require_definite, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
 
 SAMPLE_RESIDUAL_TOL = 1e-8
+# samples drawn and reduced at once by the trace and nonsqueezing searches
+BATCH = 4096
 
 # order-13 Pade approximant of exp on [-theta, theta] in the 1-norm
 _PADE13_THETA = 5.371920351148152
@@ -134,7 +136,7 @@ class TraceMinimumCheck(NamedTuple):
 
 
 def check_trace_minimum(
-    v, h, trials: int, sampler: SymplecticSampler, batch: int = 4096
+    v, h, trials: int, sampler: SymplecticSampler
 ) -> TraceMinimumCheck:
     """Empirical check of min over symplectic S of tr(S V S.T H).
 
@@ -161,7 +163,7 @@ def check_trace_minimum(
     violations = int(best < bound - 1e-8 * bound)
     remaining = int(trials)
     while remaining > 0:
-        take = min(batch, remaining)
+        take = min(BATCH, remaining)
         s = sampler.sample_batch(take)
         values = np.einsum("tia,ab,tcb,ci->t", s, v, s, h, optimize=True)
         best = min(best, float(values.min()))
@@ -197,12 +199,15 @@ def ellipsoid_cylinder_energy(shape) -> float:
     d = m.shape[0]
     if d % 2:
         raise DimensionError(f"phase-space dimension must be even, got {d}")
-    n = d // 2
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise NotPositiveDefinite("shape matrix has nonpositive determinant")
+    return float(_cylinder_energy(m, d // 2))
+
+
+def _cylinder_energy(shapes: np.ndarray, n: int) -> np.ndarray:
+    # the closed form of ellipsoid_cylinder_energy over a stack of definite shapes
+    d = 2 * n
+    _, logdet = np.linalg.slogdet(shapes)
     coeff = sphere_surface_area(d) / (d * (d + 2))
-    return float(np.exp(0.5 * logdet) * coeff * (m[0, 0] + m[n, n]))
+    return np.exp(0.5 * logdet) * coeff * (shapes[..., 0, 0] + shapes[..., n, n])
 
 
 def _cylinder_block_top(stack: np.ndarray, n: int) -> np.ndarray:
@@ -224,7 +229,6 @@ def nonsqueeze_search(
     cylinder_radius: float,
     trials: int,
     sampler: SymplecticSampler,
-    batch: int = 4096,
 ) -> NonsqueezeSearch:
     """Search for a symplectic image of a ball inside a thinner cylinder.
 
@@ -242,21 +246,17 @@ def nonsqueeze_search(
     d = 2 * sampler.dof
     n = sampler.dof
     limit = cylinder_radius**2 * (1 + 1e-12)
-    coeff = sphere_surface_area(d) / (d * (d + 2))
     successes = 0
     min_energy = float(
         ellipsoid_cylinder_energy(ball_radius**2 * np.eye(d))
     )  # identity map image; sampled images can only tie or exceed
     remaining = int(trials)
     while remaining > 0:
-        take = min(batch, remaining)
+        take = min(BATCH, remaining)
         a = sampler.sample_batch(take)
         shapes = ball_radius**2 * (a @ a.transpose(0, 2, 1))
         successes += int((_cylinder_block_top(shapes, n) <= limit).sum())
-        sign, logdet = np.linalg.slogdet(shapes)
-        energies = (
-            np.exp(0.5 * logdet) * coeff * (shapes[:, 0, 0] + shapes[:, n, n])
-        )
+        energies = _cylinder_energy(shapes, n)
         min_energy = min(min_energy, float(energies.min()))
         remaining -= take
     return NonsqueezeSearch(successes=successes, min_energy_seen=min_energy)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import phasemin.cli
 import phasemin.energy
@@ -381,6 +383,24 @@ def test_restack_honors_the_cell_cap_environment(tmp_path, capsys, monkeypatch):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--base-spacing", "1e-30", "--levels", "0"], ["--levels", "1100"]],
+    ids=["counts-beyond-int64", "spacing-underflows-to-zero"],
+)
+def test_restack_counts_cells_beyond_int64_against_the_cap(tmp_path, capsys, argv):
+    spec = {
+        "n": 1,
+        "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]},
+        "distribution": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+    }
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, err = run(capsys, ["restack", path] + argv)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err.startswith("resource cap: ")
+
+
 def test_restack_dimension_cap(tmp_path, capsys):
     spec = {
         "n": 3,
@@ -558,6 +578,7 @@ def test_verify_ellipsoid_rejects_a_broken_matrix_file(tmp_path, capsys):
 
 
 IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
+IDENTITY_4 = json.dumps(np.eye(4).tolist())
 
 
 @pytest.mark.parametrize(
@@ -576,6 +597,21 @@ IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
         (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
         (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
         (["theorem", "--problem", "SEMIDEFINITE"], "/potential/V"),
+        (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2, "--tol", "-1"],
+         "/tol"),
+        (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2, "--tol", "nan"],
+         "/tol"),
+        (["nonsqueeze", "--seed", "-1"], "/seed"),
+        (["theorem", "--problem", "PROBLEM", "--seed", "-1"], "/seed"),
+        (["ellipsoid", "--first", "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]",
+          "--second", IDENTITY_2], "/first"),
+        (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_4], "/second"),
+        (["ellipsoid", "--first", '[["a"]]', "--second", IDENTITY_2], "/first/0/0"),
+        (["ellipsoid", "--first", "[[1.0, 0.0], [0.0]]", "--second", IDENTITY_2],
+         "/first"),
+        (["ellipsoid", "--first", "{}", "--second", IDENTITY_2], "/first"),
+        (["ellipsoid", "--first", "[" * 5_000 + "]" * 5_000, "--second", IDENTITY_2],
+         "/first"),
     ],
     ids=[
         "theorem-zero-trials",
@@ -589,6 +625,16 @@ IDENTITY_2 = "[[1.0, 0.0], [0.0, 1.0]]"
         "nonsqueeze-cylinder-wider-than-ball",
         "nonsqueeze-infinite-ball",
         "theorem-semidefinite-potential",
+        "ellipsoid-negative-tol",
+        "ellipsoid-nan-tol",
+        "nonsqueeze-negative-seed",
+        "theorem-negative-seed",
+        "ellipsoid-odd-dimension",
+        "ellipsoid-sizes-differ",
+        "ellipsoid-string-entry",
+        "ellipsoid-ragged",
+        "ellipsoid-object",
+        "ellipsoid-nested-too-deeply",
     ],
 )
 def test_verify_rejects_inputs_outside_the_contract(tmp_path, capsys, argv, pointer):
@@ -622,6 +668,8 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         (["sweep"], sweep_with("-" * 5_000 + "epsilon"), "/template/potential/V/1/1"),
         (["sweep"], sweep_with("epsilon+" * 1_500 + "epsilon"), "/template/potential/V/1/1"),
         (["sweep"], sweep_with(start="a"), "/range/start"),
+        (["sweep"], sweep_with(start=True), "/range/start"),
+        (["sweep"], sweep_with(start="0.5"), "/range/start"),
         (["sweep"], sweep_with(n=0), "/template/n"),
         (["sweep"], sweep_with(distribution={"type": "cube"}),
          "/template/distribution/type"),
@@ -642,6 +690,8 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         "sweep-nesting-beyond-the-parser-recursion",
         "sweep-nesting-beyond-the-walk-recursion",
         "sweep-non-numeric-start",
+        "sweep-boolean-start",
+        "sweep-string-number-start",
         "sweep-template-size",
         "sweep-template-distribution",
         "sweep-template-grid-file",
@@ -658,3 +708,59 @@ def test_sweep_and_restack_reject_inputs_outside_the_contract(
     assert code == EXIT_SCHEMA
     assert out == ""
     assert err.startswith(f"schema error at {pointer}: ")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=8,
+)
+DISTRIBUTION_KINDS = (
+    "gaussian", "ball", "ellipsoid", "particles", "grid", "mixture", "cube",
+)
+DISTRIBUTION_FIELDS = (
+    "weight", "mean", "covariance", "radius", "center", "amplitude", "matrix",
+    "points", "weights", "origin", "spacing", "shape", "values", "values_csv",
+)
+# grid "file" is left out: a random file name is an I/O error (exit 4)
+DISTRIBUTIONS = st.deferred(
+    lambda: JSON_VALUES
+    | st.builds(
+        lambda kind, fields, components: {"type": kind, **fields, **components},
+        st.sampled_from(DISTRIBUTION_KINDS),
+        st.dictionaries(st.sampled_from(DISTRIBUTION_FIELDS), JSON_VALUES, max_size=4),
+        st.fixed_dictionaries(
+            {}, optional={"components": st.lists(DISTRIBUTIONS, max_size=2)}
+        ),
+    )
+)
+FUZZ_SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ_SETTINGS
+@given(matrix=JSON_VALUES)
+def test_verify_ellipsoid_reads_any_json_matrix(capsys, matrix):
+    first = f"--first={json.dumps(matrix)}"
+    code, _, err = run(capsys, ["verify", "ellipsoid", first, f"--second={IDENTITY_2}"])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err
+
+
+@FUZZ_SETTINGS
+@given(distribution=DISTRIBUTIONS)
+def test_bounds_reads_any_json_distribution(tmp_path, capsys, distribution):
+    spec = {
+        "n": 1,
+        "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]},
+        "distribution": distribution,
+    }
+    code, _, err = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err

@@ -29,6 +29,11 @@ def test_symmetrize_averages_small_asymmetry():
     np.testing.assert_allclose(out[0, 1], 2.0, rtol=1e-12)
 
 
+def test_symmetrize_keeps_the_largest_floats_finite():
+    a = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    assert np.array_equal(symmetrize(a), a)
+
+
 def test_symmetrize_rejects_genuine_asymmetry():
     a = np.array([[1.0, 2.0], [2.1, 3.0]])
     with pytest.raises(ValueError, match="not symmetric"):

@@ -51,6 +51,18 @@ def gaussian_problem_dict(eps=0.5):
     }
 
 
+def inline_grid(**fields):
+    """A one-cell 4-D inline grid, with ``fields`` replaced."""
+    grid = {
+        "type": "grid",
+        "origin": [0.0] * 4,
+        "spacing": 1.0,
+        "shape": [1, 1, 1, 1],
+        "values": [1.0],
+    }
+    return {**grid, **fields}
+
+
 def test_round_trip_gaussian_problem(tmp_path):
     problem = load_problem(
         write_json(tmp_path / "p.json", gaussian_problem_dict())
@@ -148,6 +160,23 @@ def test_dof_requires_even_dimension():
         (
             lambda s: s.update(box={"lo": [0.0] * 4, "hi": [0.0] * 4}),
             "/box",
+        ),
+        (lambda s: s.update(distribution=inline_grid(shape=5)), "/distribution/shape"),
+        (
+            lambda s: s.update(distribution=inline_grid(shape=[1, 1, 1])),
+            "/distribution/shape",
+        ),
+        (
+            lambda s: s.update(distribution=inline_grid(shape=[0, 1, 1, 1])),
+            "/distribution/shape/0",
+        ),
+        (
+            lambda s: s.update(distribution=inline_grid(values=[-1.0])),
+            "/distribution/values",
+        ),
+        (
+            lambda s: s.update(distribution={"type": "grid", "file": 5}),
+            "/distribution/file",
         ),
     ],
 )
@@ -315,6 +344,46 @@ def test_grid_file_dimension_must_match_problem(tmp_path):
     with pytest.raises(SchemaError) as info:
         load_problem(write_json(tmp_path / "p.json", spec))
     assert info.value.path == "/distribution/file"
+
+
+GRID_HEAD = b'{"dim": 1, "shape": [2], "origin": [0.0], "spacing": 1.0'
+
+
+@pytest.mark.parametrize(
+    "content, path",
+    [
+        (b'{"dim": 1, "shape": 2, "origin": [0.0], "spacing": 1.0}', "/shape"),
+        (b'{"dim": 1, "shape": [0], "origin": [0.0], "spacing": 1.0}', "/shape/0"),
+        (GRID_HEAD + b', "values": "ab"}', "/values"),
+        (GRID_HEAD + b', "values_csv": 5}', "/values_csv"),
+        (b"\xff\xfe{}", "/"),
+        (b"[" * 5_000 + b"]" * 5_000, "/"),
+    ],
+    ids=[
+        "shape-not-a-list",
+        "empty-axis",
+        "values-not-a-list",
+        "csv-name-not-a-string",
+        "not-utf8",
+        "nested-too-deeply",
+    ],
+)
+def test_grid_file_violations_carry_json_pointers(tmp_path, content, path):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_bytes(content)
+    with pytest.raises(SchemaError) as info:
+        load_grid_file(str(grid_path))
+    assert info.value.path == path
+
+
+def test_integers_beyond_int64_are_numbers():
+    spec = gaussian_problem_dict()
+    spec["potential"]["V0"] = -(2**63) - 1
+    assert parse_problem(spec).potential.offset == -(2.0**63)
+    spec["potential"]["V0"] = 10**400
+    with pytest.raises(SchemaError) as info:
+        parse_problem(spec)
+    assert info.value.path == "/potential/V0"
 
 
 def test_invalid_json_is_a_schema_error(tmp_path):
