@@ -23,15 +23,14 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .distributions import (
     BallIndicator,
     EllipsoidIndicator,
-    Gaussian,
     Grid,
-    Mixture,
     Particles,
     density,
     moment_energy,
@@ -54,15 +53,19 @@ from .errors import (
 from .linalg import require_definite
 from .problems import (
     Problem,
+    count,
     integer,
+    integer_text,
     load_problem,
+    nonnegative,
     number,
     parse_potential,
     parse_problem,
+    positive,
     read_json,
     symmetric_matrix,
 )
-from .restack import RestackProblem, configured_cell_cap, restack
+from .restack import DEFAULT_CELL_CAP, RestackProblem, restack
 from .verify import (
     SymplecticSampler,
     check_trace_minimum,
@@ -98,51 +101,60 @@ def _emit(text: str, destination) -> None:
 
 
 def _json_report(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; a NaN or an infinity raises OverflowError."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise OverflowError(str(err)) from None
+
+
+@contextmanager
+def _fails_at(pointer: str):
+    """A non-definite matrix or an overflow in the block fails at ``pointer``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except NotPositiveDefinite as err:
+        raise SchemaError(pointer, str(err)) from None
+    except ArithmeticError:
+        raise SchemaError(pointer, "a computed value is beyond the float range") from None
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
 
-def _map_payload(report):
-    return {
-        "matrix": report.map.matrix.tolist(),
-        "center": report.map.center.tolist(),
-        "target": report.map.target.tolist(),
-    }
-
-
 def cmd_bounds(args) -> int:
     problem = load_problem(args.problem)
     dof = problem.dof
-    m = moments(problem.distribution)
-    initial = moment_energy(m, problem.potential)
-    sl = linear_gardner_energy(m, problem.potential)
-    sp = linear_gromov_energy(m, problem.potential)
-    payload = {
-        "dim": problem.dim,
-        "dof": dof,
-        "mass": m.mass,
-        "center": m.center.tolist(),
-        "second_moment": m.second_moment.tolist(),
-        "initial_energy": initial,
-        "potential_spectrum": sp.potential_spectrum.tolist(),
-        "moment_spectrum": sp.moment_spectrum.tolist(),
-        "sl": {
-            "energy": sl.energy,
-            "fraction": sl.fraction,
-            "optimality_gap": verify_map_optimality(sl, m, problem.potential),
-            "map": _map_payload(sl),
-        },
-        "sp": {
-            "energy": sp.energy,
-            "fraction": sp.fraction,
-            "optimality_gap": verify_map_optimality(sp, m, problem.potential),
-            "map": _map_payload(sp),
-        },
-    }
-    _emit(_json_report(payload), args.output)
+    with _fails_at("/distribution"):
+        m = moments(problem.distribution)
+    with _fails_at("/potential/V"):
+        initial = moment_energy(m, problem.potential)
+        sl = linear_gardner_energy(m, problem.potential)
+        sp = linear_gromov_energy(m, problem.potential)
+        payload = {
+            "dim": problem.dim,
+            "dof": dof,
+            "mass": m.mass,
+            "center": m.center.tolist(),
+            "second_moment": m.second_moment.tolist(),
+            "initial_energy": initial,
+            "potential_spectrum": sp.potential_spectrum.tolist(),
+            "moment_spectrum": sp.moment_spectrum.tolist(),
+        }
+        for key, report in (("sl", sl), ("sp", sp)):
+            payload[key] = {
+                "energy": report.energy,
+                "fraction": report.fraction,
+                "optimality_gap": verify_map_optimality(report, m, problem.potential),
+                "map": {
+                    "matrix": report.map.matrix.tolist(),
+                    "center": report.map.center.tolist(),
+                    "target": report.map.target.tolist(),
+                },
+            }
+        _emit(_json_report(payload), args.output)
     return EXIT_OK
 
 
@@ -262,12 +274,14 @@ def cmd_sweep(args) -> int:
     # only V depends on epsilon: the rest of the template is parsed once
     first = {**template, "potential": _substitute_potential(template, values[0])}
     problem = parse_problem(first, base_dir, root="/template")
-    m = moments(problem.distribution)
-    rows = [_sweep_point(m, problem.potential, values[0])]
-    for value in values[1:]:
-        obj = _substitute_potential(template, value)
-        potential = parse_potential(obj, problem.dim, "/template/potential")
-        rows.append(_sweep_point(m, potential, value))
+    with _fails_at("/template/distribution"):
+        m = moments(problem.distribution)
+    with _fails_at("/template/potential/V"):
+        rows = [_sweep_point(m, problem.potential, values[0])]
+        for value in values[1:]:
+            obj = _substitute_potential(template, value)
+            potential = parse_potential(obj, problem.dim, "/template/potential")
+            rows.append(_sweep_point(m, potential, value))
 
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
@@ -308,18 +322,13 @@ def cmd_restack(args) -> int:
         raise SchemaError(
             "/distribution/type", "particle distributions cannot be rasterized"
         )
-    try:
-        levels = [int(tok) for tok in args.levels.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise SchemaError("/levels", f"unparsable level list {args.levels!r}") from None
+    levels = [integer_text(t, "/levels") for t in args.levels.split(",") if t.strip()]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise SchemaError("/levels", "levels must be strictly increasing")
-    if levels[0] < 0:
-        raise SchemaError("/levels", f"levels must be nonnegative, got {levels[0]}")
-    if not 0 < args.base_spacing < math.inf:
-        raise SchemaError(
-            "/base-spacing", f"must be positive and finite, got {args.base_spacing}"
-        )
+    nonnegative(levels[0], "/levels")
+    base_spacing = positive(args.base_spacing, "/base-spacing")
+    cap = os.environ.get("PHASEMIN_MAX_CELLS", str(DEFAULT_CELL_CAP))
+    cap = count(integer_text(cap, "/PHASEMIN_MAX_CELLS"), "/PHASEMIN_MAX_CELLS")
     lower, upper = _restack_box(problem)
     evaluate = density(problem.distribution)
     base = RestackProblem(
@@ -328,8 +337,8 @@ def cmd_restack(args) -> int:
         lower=lower,
         upper=upper,
         level=levels[0],
-        base_spacing=args.base_spacing,
-        cell_cap=configured_cell_cap(),
+        base_spacing=base_spacing,
+        cell_cap=cap,
     )
     lines = [RESTACK_CSV_HEADER]
     for level in levels:
@@ -353,9 +362,9 @@ def cmd_restack(args) -> int:
 # verify
 
 
-def _load_matrix_argument(text: str, label: str, size=None) -> np.ndarray:
-    """A definite shape matrix of even side ``size`` (any even side if None)."""
-    pointer = f"/{label}"
+def _load_matrix_argument(text: str, pointer: str, size=None) -> tuple:
+    """A definite shape matrix of even side ``size`` (any even side if None),
+    and its symplectic spectrum."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
@@ -367,86 +376,74 @@ def _load_matrix_argument(text: str, label: str, size=None) -> np.ndarray:
         raise SchemaError(
             pointer, f"phase-space dimension must be even, got {matrix.shape[0]}"
         )
-    try:
-        return require_definite(matrix, "matrix")
-    except NotPositiveDefinite as err:
-        raise SchemaError(pointer, str(err)) from None
+    with _fails_at(pointer):
+        matrix = require_definite(matrix, "matrix")
+        return matrix, symplectic_eigenvalues(matrix)
 
 
 def cmd_verify(args) -> int:
     if args.kind != "ellipsoid":
-        if args.trials < 1:
-            raise SchemaError("/trials", f"must be at least 1, got {args.trials}")
-        if not 0 <= args.scale < math.inf:
-            raise SchemaError(
-                "/scale", f"must be nonnegative and finite, got {args.scale}"
-            )
-        if args.seed < 0:
-            raise SchemaError("/seed", f"must be nonnegative, got {args.seed}")
+        count(args.trials, "/trials")
+        nonnegative(args.scale, "/scale")
+        nonnegative(args.seed, "/seed")
     if args.kind == "theorem":
         if not args.problem:
             raise SchemaError("/problem", "verify theorem needs --problem")
         problem = load_problem(args.problem)
         sampler = SymplecticSampler(problem.dof, args.seed, args.scale)
-        try:
-            require_definite(problem.potential.matrix, "V")
-        except NotPositiveDefinite as err:
-            raise SchemaError("/potential/V", str(err)) from None
-        h = moment_matrix(moments(problem.distribution), problem.potential)
-        result = check_trace_minimum(problem.potential.matrix, h, args.trials, sampler)
-        payload = {
-            "kind": "theorem",
-            "trials": args.trials,
-            "seed": args.seed,
-            "bound": result.bound,
-            "min_observed": result.min_observed,
-            "violations": result.violations,
-        }
-        _emit(_json_report(payload), args.output)
+        with _fails_at("/distribution"):
+            m = moments(problem.distribution)
+        with _fails_at("/potential/V"):
+            h = moment_matrix(m, problem.potential)
+            result = check_trace_minimum(problem.potential.matrix, h, args.trials, sampler)
+            payload = {
+                "kind": "theorem",
+                "trials": args.trials,
+                "seed": args.seed,
+                "bound": result.bound,
+                "min_observed": result.min_observed,
+                "violations": result.violations,
+            }
+            _emit(_json_report(payload), args.output)
         return EXIT_OK if result.violations == 0 else EXIT_VERIFY_FAILED
 
     if args.kind == "nonsqueeze":
-        if args.dof < 1:
-            raise SchemaError("/dof", f"must be at least 1, got {args.dof}")
-        if not 0 < args.ball_radius < math.inf:
-            raise SchemaError(
-                "/ball-radius", f"must be positive and finite, got {args.ball_radius}"
-            )
-        if not 0 < args.cylinder_radius < args.ball_radius:
+        count(args.dof, "/dof")
+        positive(args.ball_radius, "/ball-radius")
+        if not positive(args.cylinder_radius, "/cylinder-radius") < args.ball_radius:
             raise SchemaError(
                 "/cylinder-radius",
                 f"expected 0 < cylinder radius < ball radius {args.ball_radius}, "
                 f"got {args.cylinder_radius}",
             )
         sampler = SymplecticSampler(args.dof, args.seed, args.scale)
-        result = nonsqueeze_search(
-            args.ball_radius, args.cylinder_radius, args.trials, sampler
-        )
-        payload = {
-            "kind": "nonsqueeze",
-            "trials": args.trials,
-            "seed": args.seed,
-            "dof": args.dof,
-            "ball_radius": args.ball_radius,
-            "cylinder_radius": args.cylinder_radius,
-            "successes": result.successes,
-            "min_energy_seen": result.min_energy_seen,
-        }
-        _emit(_json_report(payload), args.output)
+        with _fails_at("/ball-radius"):
+            result = nonsqueeze_search(
+                args.ball_radius, args.cylinder_radius, args.trials, sampler
+            )
+            payload = {
+                "kind": "nonsqueeze",
+                "trials": args.trials,
+                "seed": args.seed,
+                "dof": args.dof,
+                "ball_radius": args.ball_radius,
+                "cylinder_radius": args.cylinder_radius,
+                "successes": result.successes,
+                "min_energy_seen": result.min_energy_seen,
+            }
+            _emit(_json_report(payload), args.output)
         return EXIT_OK if result.successes == 0 else EXIT_VERIFY_FAILED
 
     if not args.first or not args.second:
         raise SchemaError("/first", "verify ellipsoid needs --first and --second")
-    if not 0 <= args.tol < math.inf:
-        raise SchemaError("/tol", f"must be nonnegative and finite, got {args.tol}")
-    first = _load_matrix_argument(args.first, "first")
-    second = _load_matrix_argument(args.second, "second", first.shape[0])
-    equivalent = ellipsoids_equivalent(first, second, tol=args.tol)
+    nonnegative(args.tol, "/tol")
+    first, first_spectrum = _load_matrix_argument(args.first, "/first")
+    second, second_spectrum = _load_matrix_argument(args.second, "/second", first.shape[0])
     payload = {
         "kind": "ellipsoid",
-        "equivalent": bool(equivalent),
-        "first_spectrum": symplectic_eigenvalues(first).tolist(),
-        "second_spectrum": symplectic_eigenvalues(second).tolist(),
+        "equivalent": ellipsoids_equivalent(first, second, tol=args.tol),
+        "first_spectrum": first_spectrum.tolist(),
+        "second_spectrum": second_spectrum.tolist(),
     }
     _emit(_json_report(payload), args.output)
     return EXIT_OK
@@ -506,9 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except SchemaError as err:

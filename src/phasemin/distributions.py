@@ -77,11 +77,16 @@ class QuadraticPotential:
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """Total mass, center of mass, and centered second-moment matrix."""
+    """Total mass, center of mass, and centered second-moment matrix, all finite."""
 
     mass: float
     center: np.ndarray
     second_moment: np.ndarray
+
+    def __post_init__(self):
+        finite = np.isfinite(self.center).all() and np.isfinite(self.second_moment).all()
+        if not (math.isfinite(self.mass) and finite):
+            raise OverflowError("moments are beyond the float range")
 
     @property
     def dim(self) -> int:
@@ -225,12 +230,8 @@ class Grid:
     def dim(self) -> int:
         return self.origin.shape[0]
 
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.shape))
-
     def cell_centers(self) -> np.ndarray:
-        """Midpoints of all cells as a (cell_count, dim) array in row-major order."""
+        """Midpoints of all cells as a (cells, dim) array in row-major order."""
         axes = cell_axes(self.origin, self.spacing, self.shape)
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -26,9 +26,9 @@ A grid file is a JSON object with ``dim``, ``shape``, ``origin``,
 or ``values_csv`` naming a sidecar CSV of one value per line (path relative
 to the grid file).
 
-Every input from outside the package is read here, the command line's
-JSON matrices and files included.  Schema violations raise
-:class:`SchemaError` carrying a JSON-pointer path.
+Every input from outside the package is read here: the files, and the
+command line's matrices, option values and environment variables.  Schema
+violations raise :class:`SchemaError` carrying a JSON-pointer path.
 """
 
 from __future__ import annotations
@@ -96,11 +96,18 @@ def number(value, path: str) -> float:
     return float(value)
 
 
-def _positive(value, path: str) -> float:
+def positive(value, path: str) -> float:
     x = number(value, path)
     if not x > 0:
         raise SchemaError(path, f"must be positive, got {x}")
     return x
+
+
+def nonnegative(value, path: str):
+    """A finite number >= 0, returned unchanged, so an integer stays one."""
+    if not number(value, path) >= 0:
+        raise SchemaError(path, f"must be nonnegative, got {value}")
+    return value
 
 
 def integer(value, path: str) -> int:
@@ -110,11 +117,19 @@ def integer(value, path: str) -> int:
     return value
 
 
-def _count(value, path: str) -> int:
+def count(value, path: str) -> int:
     k = integer(value, path)
     if k < 1:
         raise SchemaError(path, f"must be positive, got {k}")
     return k
+
+
+def integer_text(text: str, path: str) -> int:
+    """An integer written as text, as on the command line or in the environment."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(path, f"expected an integer, got {text!r}") from None
 
 
 def _vector(value, length, path: str) -> np.ndarray:
@@ -174,11 +189,11 @@ def parse_grid(obj: dict, dim: int, root: str, csv_dir: Optional[str] = None) ->
     shape = _require(obj, "shape", root)
     if not isinstance(shape, list):
         raise SchemaError(f"{root}/shape", "expected a list of integers")
-    shape = tuple(_count(s, f"{root}/shape/{i}") for i, s in enumerate(shape))
+    shape = tuple(count(s, f"{root}/shape/{i}") for i, s in enumerate(shape))
     if len(shape) != dim:
         raise SchemaError(f"{root}/shape", f"expected {dim} axes, got {len(shape)}")
     origin = _vector(_require(obj, "origin", root), dim, f"{root}/origin")
-    spacing = _positive(_require(obj, "spacing", root), f"{root}/spacing")
+    spacing = positive(_require(obj, "spacing", root), f"{root}/spacing")
     if csv_dir is not None and "values" not in obj and "values_csv" in obj:
         if not isinstance(obj["values_csv"], str):
             raise SchemaError(f"{root}/values_csv", "expected a file name")
@@ -207,7 +222,7 @@ def load_grid_file(path: str) -> Grid:
     obj = read_json(path, "grid file")
     if not isinstance(obj, dict):
         raise SchemaError("/", "grid file must hold an object")
-    dim = _count(_require(obj, "dim", ""), "/dim")
+    dim = count(_require(obj, "dim", ""), "/dim")
     return parse_grid(obj, dim, "", os.path.dirname(path))
 
 
@@ -218,7 +233,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
     try:
         if kind == "gaussian":
             return Gaussian(
-                weight=_positive(_require(obj, "weight", path), f"{path}/weight"),
+                weight=positive(_require(obj, "weight", path), f"{path}/weight"),
                 mean=_vector(_require(obj, "mean", path), dim, f"{path}/mean"),
                 covariance=symmetric_matrix(
                     _require(obj, "covariance", path), dim, f"{path}/covariance"
@@ -226,9 +241,9 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
             )
         if kind == "ball":
             return BallIndicator(
-                radius=_positive(_require(obj, "radius", path), f"{path}/radius"),
+                radius=positive(_require(obj, "radius", path), f"{path}/radius"),
                 center=_vector(_require(obj, "center", path), dim, f"{path}/center"),
-                amplitude=_positive(obj.get("amplitude", 1.0), f"{path}/amplitude"),
+                amplitude=positive(obj.get("amplitude", 1.0), f"{path}/amplitude"),
             )
         if kind == "ellipsoid":
             return EllipsoidIndicator(
@@ -236,7 +251,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
                     _require(obj, "matrix", path), dim, f"{path}/matrix"
                 ),
                 center=_vector(_require(obj, "center", path), dim, f"{path}/center"),
-                amplitude=_positive(obj.get("amplitude", 1.0), f"{path}/amplitude"),
+                amplitude=positive(obj.get("amplitude", 1.0), f"{path}/amplitude"),
             )
         if kind == "particles":
             raw = _require(obj, "points", path)
@@ -293,9 +308,9 @@ def parse_problem(obj, base_dir: str = ".", root: str = "") -> Problem:
     if has_n == has_dim:
         raise SchemaError(root or "/", "exactly one of 'n' and 'dim' is required")
     if has_n:
-        dim = 2 * _count(obj["n"], f"{root}/n")
+        dim = 2 * count(obj["n"], f"{root}/n")
     else:
-        dim = _count(obj["dim"], f"{root}/dim")
+        dim = count(obj["dim"], f"{root}/dim")
     potential = parse_potential(
         _require(obj, "potential", root), dim, f"{root}/potential"
     )

@@ -18,7 +18,6 @@ midpoints, so a lattice is never held as a (cells, dim) point array.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Tuple
@@ -29,23 +28,8 @@ from .distributions import Grid, cell_axes
 from .errors import CellCapExceeded, EmptyDistribution, NumericalInstability
 
 DEFAULT_CELL_CAP = 4_194_304
-CELL_CAP_ENV = "PHASEMIN_MAX_CELLS"
 # most cells per evaluation block: a block's (k, dim) points stay in cache
 BLOCK_CELLS = 1 << 15
-
-
-def configured_cell_cap() -> int:
-    """Cell cap from the environment variable, or the built-in default."""
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{CELL_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _evaluate_cells(fn, origin, spacing: float, shape, what: str) -> np.ndarray:
@@ -118,7 +102,7 @@ class RestackProblem:
 
     @property
     def spacing(self) -> float:
-        return self.base_spacing * 2.0 ** (-self.level)
+        return math.ldexp(self.base_spacing, -self.level)
 
     def at_level(self, level: int) -> "RestackProblem":
         return replace(self, level=level)

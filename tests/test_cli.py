@@ -22,6 +22,7 @@ from phasemin.distributions import moment_energy, moments
 from phasemin.energy import linear_gardner_energy, linear_gromov_energy
 from phasemin.linalg import symplectic_residual
 from phasemin.problems import parse_problem
+from phasemin.restack import DEFAULT_CELL_CAP
 
 
 def write_json(path, payload):
@@ -385,8 +386,12 @@ def test_restack_honors_the_cell_cap_environment(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--base-spacing", "1e-30", "--levels", "0"], ["--levels", "1100"]],
-    ids=["counts-beyond-int64", "spacing-underflows-to-zero"],
+    [
+        ["--base-spacing", "1e-30", "--levels", "0"],
+        ["--levels", "1100"],
+        ["--levels", "0,1" + "0" * 400],
+    ],
+    ids=["counts-beyond-int64", "spacing-underflows-to-zero", "level-beyond-every-float"],
 )
 def test_restack_counts_cells_beyond_int64_against_the_cap(tmp_path, capsys, argv):
     spec = {
@@ -399,6 +404,32 @@ def test_restack_counts_cells_beyond_int64_against_the_cap(tmp_path, capsys, arg
     assert code == EXIT_RESOURCE
     assert out == ""
     assert err.startswith("resource cap: ")
+
+
+@pytest.mark.parametrize(
+    "cap, code, err",
+    [
+        (None, EXIT_RESOURCE, f"resource cap: refinement needs 8388608 cells, "
+                              f"exceeding the cap of {DEFAULT_CELL_CAP}"),
+        ("512", EXIT_RESOURCE, "resource cap: refinement needs 8388608 cells, "
+                               "exceeding the cap of 512"),
+        ("abc", EXIT_SCHEMA, "schema error at /PHASEMIN_MAX_CELLS: "
+                             "expected an integer, got 'abc'"),
+        ("0", EXIT_SCHEMA, "schema error at /PHASEMIN_MAX_CELLS: must be positive, got 0"),
+        ("-3", EXIT_SCHEMA, "schema error at /PHASEMIN_MAX_CELLS: must be positive, got -3"),
+    ],
+    ids=["unset", "512", "abc", "zero", "negative"],
+)
+def test_restack_reads_the_cell_cap_from_the_environment(
+    tmp_path, capsys, monkeypatch, cap, code, err
+):
+    if cap is None:
+        monkeypatch.delenv("PHASEMIN_MAX_CELLS", raising=False)
+    else:
+        monkeypatch.setenv("PHASEMIN_MAX_CELLS", cap)
+    path = write_json(tmp_path / "p.json", uniform_interval_problem())
+    # level 22 needs 2^23 cells: more than either cap, and none are allocated
+    assert run(capsys, ["restack", path, "--levels", "22"]) == (code, "", err + "\n")
 
 
 def test_restack_dimension_cap(tmp_path, capsys):
@@ -650,6 +681,74 @@ def test_verify_rejects_inputs_outside_the_contract(tmp_path, capsys, argv, poin
     assert err.startswith(f"schema error at {pointer}: ")
 
 
+def stiff_problem():
+    # V and H are each in range; tr(V H) and det(V H) are not
+    spec = gaussian_problem(1.0)
+    spec.update(n=1, potential={"V0": 0.0, "d": [0.0, 0.0], "V": [[1e300, 0], [0, 1e300]]})
+    spec["distribution"].update(mean=[0.0, 0.0], covariance=[[1e10, 0], [0, 1e10]])
+    return spec
+
+
+def wide_ball_problem(radius=1e200, amplitude=1.0):
+    spec = stiff_problem()
+    spec["potential"]["V"] = [[1.0, 0.0], [0.0, 1.0]]
+    spec["distribution"] = {
+        "type": "ball", "radius": radius, "amplitude": amplitude, "center": [0.0, 0.0],
+    }
+    return spec
+
+
+def sweep_of(problem):
+    problem["potential"]["V"][1][1] = "epsilon*" + repr(problem["potential"]["V"][1][1])
+    return {"template": problem, "range": {"start": 1.0, "stop": 2.0, "points": 3}}
+
+
+WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["bounds", "WIDE_BALL"], "/distribution"),
+        # the mass alone overflows, without an exception on the way
+        (["bounds", "HEAVY_BALL"], "/distribution"),
+        (["bounds", "STIFF"], "/potential/V"),
+        (["verify", "ellipsoid", "--first", WIDE_2, "--second", IDENTITY_2], "/first"),
+        (["verify", "ellipsoid", "--first", IDENTITY_2, "--second", WIDE_2], "/second"),
+        (["verify", "theorem", "--trials", "10", "--problem", "WIDE_BALL"], "/distribution"),
+        (["verify", "theorem", "--trials", "10", "--problem", "STIFF"], "/potential/V"),
+        (["verify", "nonsqueeze", "--dof", "1", "--trials", "10", "--ball-radius", "1e200",
+          "--cylinder-radius", "1e199"], "/ball-radius"),
+        (["sweep", "SWEEP_WIDE_BALL"], "/template/distribution"),
+        (["sweep", "SWEEP_STIFF"], "/template/potential/V"),
+    ],
+    ids=[
+        "bounds-ball-volume",
+        "bounds-ball-mass",
+        "bounds-energy",
+        "ellipsoid-first-spectrum",
+        "ellipsoid-second-spectrum",
+        "theorem-ball-volume",
+        "theorem-bound",
+        "nonsqueeze-radius",
+        "sweep-ball-volume",
+        "sweep-energy",
+    ],
+)
+def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, argv, pointer):
+    files = {
+        "WIDE_BALL": write_json(tmp_path / "ball.json", wide_ball_problem()),
+        "HEAVY_BALL": write_json(tmp_path / "heavy.json", wide_ball_problem(1.0, 1e308)),
+        "STIFF": write_json(tmp_path / "stiff.json", stiff_problem()),
+        "SWEEP_WIDE_BALL": write_json(tmp_path / "s1.json", sweep_of(wide_ball_problem())),
+        "SWEEP_STIFF": write_json(tmp_path / "s2.json", sweep_of(stiff_problem())),
+    }
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == EXIT_SCHEMA
+    assert out == ""
+    assert err == f"schema error at {pointer}: a computed value is beyond the float range\n"
+
+
 def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
     spec = sweep_spec(start, 1.5, 3)
     spec["template"]["potential"]["V"][1][1] = entry
@@ -751,6 +850,97 @@ FUZZ_SETTINGS = settings(
 def test_verify_ellipsoid_reads_any_json_matrix(capsys, matrix):
     first = f"--first={json.dumps(matrix)}"
     code, _, err = run(capsys, ["verify", "ellipsoid", first, f"--second={IDENTITY_2}"])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err
+
+
+def mostly(valid, junk=JSON_VALUES):
+    """``valid`` nine times in ten and ``junk`` otherwise, so that most fuzzed
+    inputs get past the schema checks and reach the energies."""
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 0 else valid)
+
+
+# sweep expressions: short strings over the tokens the expression grammar knows
+EXPRESSIONS = st.lists(
+    st.sampled_from(["epsilon", *"0123456789.+-*/()"]), max_size=6
+).map("".join)
+
+
+def symmetric_2x2(diagonal):
+    off_diagonal = mostly(st.floats(-0.5, 0.5))
+    return mostly(
+        st.builds(lambda a, b, c: [[a, b], [b, c]], diagonal, off_diagonal, diagonal)
+    )
+
+
+def pairs(low, high):
+    return mostly(st.lists(st.floats(low, high), min_size=2, max_size=2))
+
+
+SWEEP_RANGES = mostly(
+    st.fixed_dictionaries(
+        # every point is evaluated, so counts stay small: a sweep of any
+        # length is allowed, and a huge count is a known fault of its own
+        {"points": mostly(st.integers(-2, 40), JSON_VALUES.filter(
+            lambda x: not isinstance(x, int)
+        ))},
+        optional={
+            "start": mostly(st.floats(0.1, 3.0)),
+            "stop": mostly(st.floats(0.1, 3.0)),
+            "spacing": mostly(st.sampled_from(["linear", "log"])),
+        },
+    )
+)
+GAUSSIAN_2 = {
+    "type": "gaussian", "weight": 1.0, "mean": [0.0, 0.0],
+    "covariance": [[2.0, 0.5], [0.5, 1.0]],
+}
+
+
+@FUZZ_SETTINGS
+@given(
+    sweep_range=SWEEP_RANGES,
+    v=symmetric_2x2(
+        mostly(st.floats(0.5, 3.0) | st.sampled_from(["epsilon", "2*epsilon"]) | EXPRESSIONS)
+    ),
+)
+def test_sweep_reads_any_json_spec(tmp_path, capsys, sweep_range, v):
+    spec = {
+        "parameter": "epsilon",
+        "range": sweep_range,
+        "template": {
+            "n": 1,
+            "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": v},
+            "distribution": GAUSSIAN_2,
+        },
+    }
+    code, _, err = run(capsys, ["sweep", write_json(tmp_path / "s.json", spec)])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err
+
+
+@FUZZ_SETTINGS
+@given(
+    size=mostly(
+        st.sampled_from([{"n": 1}, {"dim": 2}]),
+        st.fixed_dictionaries({}, optional={"n": JSON_VALUES, "dim": JSON_VALUES}),
+    ),
+    potential=mostly(
+        st.fixed_dictionaries(
+            {
+                "V0": mostly(st.floats(-1.0, 1.0)),
+                "d": pairs(-2.0, 2.0),
+                "V": symmetric_2x2(mostly(st.floats(0.0, 3.0))),
+            }
+        )
+    ),
+    box=st.fixed_dictionaries(
+        {}, optional={"box": mostly(
+            st.fixed_dictionaries({"lo": pairs(-2.0, 0.5), "hi": pairs(-0.5, 2.0)})
+        )}
+    ),
+)
+def test_bounds_reads_any_json_problem(tmp_path, capsys, size, potential, box):
+    spec = {**size, "potential": potential, "distribution": GAUSSIAN_2, **box}
+    code, _, err = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
     assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err
 
 

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
@@ -10,6 +12,7 @@ from conftest import (
     moments_from_matrix,
     paired_spectrum_synthesis,
     random_spd,
+    random_symplectic_batch,
     random_unimodular_batch,
 )
 from phasemin.distributions import (
@@ -208,6 +211,70 @@ def test_sampled_unimodular_maps_never_beat_the_bound():
         "ab,tbc,cd,tad->t", pot.matrix, samples, m.second_moment, samples
     )
     assert values.min() >= bound - 1e-8 * bound
+
+
+# ---------------------------------------------------------------------------
+# invariances: the minima depend on V and H only up to the group acting on
+# them, and on the centers not at all
+
+
+INVARIANCE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+INVARIANT_PROBLEMS = {
+    "seed": st.integers(0, 2**32 - 1),
+    "dof": st.integers(1, 3),
+    "spread": st.floats(1.0, 1e2),
+}
+
+
+def random_problem(seed, dof, spread):
+    rng = np.random.default_rng(seed)
+    v = random_spd(rng, 2 * dof, spread)
+    h = random_spd(rng, 2 * dof, spread)
+    return rng, v, h
+
+
+def group_energy(energy, v, h):
+    pot = QuadraticPotential(0.0, np.zeros(v.shape[0]), v)
+    return energy(moments_from_matrix(h), pot).energy
+
+
+@INVARIANCE_SETTINGS
+@given(**INVARIANT_PROBLEMS)
+def test_sp_energy_is_invariant_under_symplectic_congruence(seed, dof, spread):
+    _, v, h = random_problem(seed, dof, spread)
+    s = random_symplectic_batch(seed, dof, 1)[0]
+    expected = group_energy(linear_gromov_energy, v, h)
+    moved_v = group_energy(linear_gromov_energy, s.T @ v @ s, h)
+    moved_h = group_energy(linear_gromov_energy, v, s @ h @ s.T)
+    assert moved_v == pytest.approx(expected, rel=1e-9)
+    assert moved_h == pytest.approx(expected, rel=1e-9)
+
+
+@INVARIANCE_SETTINGS
+@given(**INVARIANT_PROBLEMS)
+def test_sl_energy_is_invariant_under_unimodular_congruence(seed, dof, spread):
+    rng, v, h = random_problem(seed, dof, spread)
+    s = random_unimodular_batch(rng, 1, 2 * dof)[0]
+    expected = group_energy(linear_gardner_energy, v, h)
+    moved_v = group_energy(linear_gardner_energy, s.T @ v @ s, h)
+    moved_h = group_energy(linear_gardner_energy, v, s @ h @ s.T)
+    assert moved_v == pytest.approx(expected, rel=1e-9)
+    assert moved_h == pytest.approx(expected, rel=1e-9)
+
+
+@INVARIANCE_SETTINGS
+@given(**INVARIANT_PROBLEMS)
+def test_energies_are_invariant_under_a_common_translation(seed, dof, spread):
+    rng, v, h = random_problem(seed, dof, spread)
+    mean, minimum, shift = rng.uniform(-spread, spread, size=(3, 2 * dof))
+    before = moments(Gaussian(1.5, mean, h)), QuadraticPotential(0.3, minimum, v)
+    after = (
+        moments(Gaussian(1.5, mean + shift, h)),
+        QuadraticPotential(0.3, minimum + shift, v),
+    )
+    for energy in (linear_gardner_energy, linear_gromov_energy):
+        assert energy(*after).energy == pytest.approx(energy(*before).energy, rel=1e-9)
+    assert moment_energy(*after) == pytest.approx(moment_energy(*before), rel=1e-9)
 
 
 def test_optimal_map_properties():

@@ -19,10 +19,7 @@ from phasemin.energy import linear_gardner_energy
 from phasemin.errors import CellCapExceeded, EmptyDistribution
 from phasemin.restack import (
     BLOCK_CELLS,
-    CELL_CAP_ENV,
-    DEFAULT_CELL_CAP,
     RestackProblem,
-    configured_cell_cap,
     restack,
     restack_grid,
 )
@@ -349,19 +346,6 @@ def test_cell_cap_counts_cells_without_overflow():
     with pytest.raises(CellCapExceeded) as info:
         problem.build_grid()
     assert info.value.requested == math.prod(problem.cell_shape()) > 10**34
-
-
-def test_configured_cell_cap(monkeypatch):
-    monkeypatch.delenv(CELL_CAP_ENV, raising=False)
-    assert configured_cell_cap() == DEFAULT_CELL_CAP
-    monkeypatch.setenv(CELL_CAP_ENV, "512")
-    assert configured_cell_cap() == 512
-    monkeypatch.setenv(CELL_CAP_ENV, "zero")
-    with pytest.raises(ValueError):
-        configured_cell_cap()
-    monkeypatch.setenv(CELL_CAP_ENV, "-3")
-    with pytest.raises(ValueError):
-        configured_cell_cap()
 
 
 def test_convergence_table():
