@@ -82,6 +82,8 @@ EXIT_IO = 4
 EXIT_RESOURCE = 5
 
 RESTACK_MAX_DIM = 4
+# every point of a sweep is evaluated: a count beyond this fails as a cell cap does
+SWEEP_MAX_POINTS = 10**6
 SWEEP_CSV_HEADER = "epsilon,E_initial,E_SL,E_Sp,F_SL,F_Sp"
 RESTACK_CSV_HEADER = "level,h,cells,energy,pre_energy"
 
@@ -242,6 +244,10 @@ def _sweep_values(spec: dict) -> np.ndarray:
     points = integer(raw.get("points"), "/range/points")
     if points < 2:
         raise SchemaError("/range/points", "expected an integer >= 2")
+    if points > SWEEP_MAX_POINTS:
+        raise CellCapExceeded(
+            points, SWEEP_MAX_POINTS, "/range/points: sweep needs {} points"
+        )
     spacing = raw.get("spacing", "linear")
     if spacing == "linear":
         return np.linspace(start, stop, points)
@@ -342,7 +348,8 @@ def cmd_restack(args) -> int:
     )
     lines = [RESTACK_CSV_HEADER]
     for level in levels:
-        result = restack(base.at_level(level))
+        with _fails_at("/distribution"):
+            result = restack(base.at_level(level))
         lines.append(
             ",".join(
                 [

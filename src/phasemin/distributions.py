@@ -4,6 +4,10 @@ Every distribution f >= 0 is summarized by three moments: the total mass
 N = ∫f, the center of mass c = (1/N)∫z f, and the centered second-moment
 matrix H = ∫ (z ⊗ z) f(z + c) dz.  All families below admit closed forms,
 so no generic quadrature is performed outside the lattice family.
+
+The types hold values that :mod:`phasemin.problems` has read and checked;
+they check only definiteness, matching dimensions and the float range of
+the moments.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ def ball_volume(k: int, radius: float = 1.0) -> float:
 
 def _vector(v, dim=None, what="vector") -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise DimensionError(f"{what} has length {v.shape[0]}, expected {dim}")
     return v
@@ -104,8 +106,6 @@ class Gaussian:
     def __post_init__(self):
         cov = require_definite(self.covariance, "covariance")
         mean = _vector(self.mean, cov.shape[0], "mean")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -124,10 +124,6 @@ class BallIndicator:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "center", _vector(self.center, None, "center"))
@@ -147,8 +143,6 @@ class EllipsoidIndicator:
 
     def __post_init__(self):
         mat = require_definite(self.matrix, "ellipsoid matrix")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "center", _vector(self.center, mat.shape[0], "center"))
         object.__setattr__(self, "amplitude", float(self.amplitude))
@@ -172,10 +166,6 @@ class Particles:
             raise DimensionError(
                 f"{pts.shape[0]} points but {wts.shape[0]} weights"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("particle coordinates must be finite")
-        if wts.size and not np.all(wts > 0):
-            raise ValueError("particle weights must be positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
@@ -212,15 +202,7 @@ class Grid:
             raise DimensionError(
                 f"shape has {len(shape)} axes but origin has {origin.shape[0]}"
             )
-        if any(s < 1 for s in shape):
-            raise ValueError(f"shape entries must be positive, got {shape}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
         values = np.asarray(self.values, dtype=float).reshape(shape)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("cell values must be finite")
-        if np.any(values < 0):
-            raise ValueError("cell values must be nonnegative")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "shape", shape)

@@ -12,7 +12,8 @@ class DimensionError(PhaseMinError):
 class NotPositiveDefinite(PhaseMinError):
     """A matrix required to be positive definite is not.
 
-    The offending smallest eigenvalue is stored as ``eigenvalue``.
+    The offending eigenvalue, the smallest or one beyond the float range, is
+    stored as ``eigenvalue``.
     """
 
     def __init__(self, message, eigenvalue=None):
@@ -41,15 +42,14 @@ class NumericalInstability(PhaseMinError):
 
 
 class CellCapExceeded(PhaseMinError):
-    """A lattice refinement would allocate more cells than the configured cap.
+    """A request would allocate more than its cap: a lattice refinement's
+    cells, or a sweep's points.
 
-    Carries ``requested`` and ``cap`` cell counts.
+    Carries the ``requested`` and ``cap`` counts; ``need`` words the request.
     """
 
-    def __init__(self, requested, cap):
-        super().__init__(
-            f"refinement needs {requested} cells, exceeding the cap of {cap}"
-        )
+    def __init__(self, requested, cap, need="refinement needs {} cells"):
+        super().__init__(f"{need.format(requested)}, exceeding the cap of {cap}")
         self.requested = requested
         self.cap = cap
 

@@ -110,9 +110,14 @@ def pd_power(m, exponent: float) -> np.ndarray:
 
 
 def require_definite(matrix, name: str) -> np.ndarray:
-    """Symmetrized ``matrix``, raising NotPositiveDefinite if it is not definite."""
+    """Symmetrized ``matrix``, raising NotPositiveDefinite if it is not definite
+    or if an eigenvalue is beyond the float range."""
     m = symmetrize(matrix)
     w = np.linalg.eigvalsh(m)
+    if not np.all(np.isfinite(w)):
+        raise NotPositiveDefinite(
+            f"{name} has an eigenvalue beyond the float range", eigenvalue=w[-1]
+        )
     if not is_definite(w):
         raise NotPositiveDefinite(
             f"{name} must be positive definite (eigenvalue {w[0]:.6e})",

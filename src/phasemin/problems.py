@@ -52,7 +52,7 @@ from .distributions import (
     Particles,
     QuadraticPotential,
 )
-from .errors import NotSemidefinite, PhaseMinError, SchemaError
+from .errors import NotPositiveDefinite, NotSemidefinite, PhaseMinError, SchemaError
 from .linalg import INPUT_SYMMETRY_RTOL, symmetrize
 
 
@@ -212,10 +212,12 @@ def parse_grid(obj: dict, dim: int, root: str, csv_dir: Optional[str] = None) ->
             f"{root}/values",
             f"expected {expected} values for shape {list(shape)}, got {values.size}",
         )
-    try:
-        return Grid(origin, spacing, shape, values)
-    except (ValueError, PhaseMinError) as err:
-        raise SchemaError(f"{root}/values", str(err)) from None
+    # np.loadtxt reads nan and inf, and 1e400 as inf
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{root}/values", "cell values must be finite")
+    if np.any(values < 0):
+        raise SchemaError(f"{root}/values", "cell values must be nonnegative")
+    return Grid(origin, spacing, shape, values)
 
 
 def load_grid_file(path: str) -> Grid:
@@ -288,9 +290,7 @@ def parse_distribution(obj, dim: int, path: str, base_dir: str) -> Distribution:
                     for i, c in enumerate(raw)
                 )
             )
-    except SchemaError:
-        raise
-    except (ValueError, PhaseMinError) as err:
+    except NotPositiveDefinite as err:
         raise SchemaError(path, str(err)) from None
     raise SchemaError(f"{path}/type", f"unknown distribution type {kind!r}")
 

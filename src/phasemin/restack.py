@@ -85,16 +85,8 @@ class RestackProblem:
     cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float).reshape(-1)
-        upper = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lower.shape != upper.shape or np.any(upper <= lower):
-            raise ValueError("box must satisfy lower < upper componentwise")
-        if self.level < 0:
-            raise ValueError(f"refinement level must be nonnegative, got {self.level}")
-        if not self.base_spacing > 0:
-            raise ValueError(f"base spacing must be positive, got {self.base_spacing}")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float).reshape(-1))
+        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float).reshape(-1))
 
     @property
     def dim(self) -> int:

@@ -98,10 +98,6 @@ class SymplecticSampler:
     """
 
     def __init__(self, dof: int, seed: int, scale: float = 1.0):
-        if dof < 1:
-            raise DimensionError(f"degrees of freedom must be positive, got {dof}")
-        if scale < 0:
-            raise ValueError(f"scale must be nonnegative, got {scale}")
         self.dof = int(dof)
         self.seed = int(seed)
         self.scale = float(scale)
@@ -110,8 +106,6 @@ class SymplecticSampler:
 
     def sample_batch(self, count: int) -> np.ndarray:
         """The next ``count`` samples as a (count, 2*dof, 2*dof) stack."""
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
         d = 2 * self.dof
         raw = self._rng.uniform(-self.scale, self.scale, size=(count, 2, d, d))
         sym = (raw + raw.transpose(0, 1, 3, 2)) / 2.0
@@ -238,11 +232,6 @@ def nonsqueeze_search(
     cylinder-energy integral seen over the images, which can never drop
     below the ball's own value.
     """
-    if not 0 < cylinder_radius < ball_radius:
-        raise ValueError(
-            "expected 0 < cylinder radius < ball radius, got "
-            f"r={cylinder_radius}, R={ball_radius}"
-        )
     d = 2 * sampler.dof
     n = sampler.dof
     limit = cylinder_radius**2 * (1 + 1e-12)

@@ -16,6 +16,7 @@ from phasemin.cli import (
     EXIT_SCHEMA,
     RESTACK_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    SWEEP_MAX_POINTS,
     main,
 )
 from phasemin.distributions import moment_energy, moments
@@ -309,6 +310,18 @@ def test_sweep_range_needs_at_least_two_points(tmp_path, capsys):
     assert "/range/points" in err
 
 
+@pytest.mark.parametrize("points", [2**62, SWEEP_MAX_POINTS + 1], ids=["2**62", "cap+1"])
+def test_sweep_caps_the_point_count(tmp_path, capsys, points):
+    path = write_json(tmp_path / "s.json", sweep_spec(0.5, 1.5, points))
+    code, out, err = run(capsys, ["sweep", path])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == (
+        f"resource cap: /range/points: sweep needs {points} points, "
+        f"exceeding the cap of {SWEEP_MAX_POINTS}\n"
+    )
+
+
 def test_sweep_supports_only_the_epsilon_parameter(tmp_path, capsys):
     spec = sweep_spec(0.5, 1.5, 3)
     spec["parameter"] = "delta"
@@ -474,6 +487,18 @@ def test_restack_levels_must_strictly_increase(tmp_path, capsys, levels):
     assert "/levels" in err
 
 
+def test_restack_box_collapsed_in_floating_point_is_degenerate(tmp_path, capsys):
+    # center ± radius rounds back to the center: one cell, and the ball misses
+    # its midpoint
+    spec = wide_ball_problem(radius=1e-10)
+    spec["distribution"]["center"] = [1e10, 1e10]
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, err = run(capsys, ["restack", path, "--levels", "0"])
+    assert code == EXIT_DEGENERATE
+    assert out == ""
+    assert err == "degenerate input: no cell carries positive density\n"
+
+
 def test_restack_without_a_box_needs_a_bounded_distribution(tmp_path, capsys):
     spec = gaussian_problem(0.5)
     path = write_json(tmp_path / "p.json", spec)
@@ -626,6 +651,7 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         (["theorem", "--problem", "PROBLEM", "--scale", "-1"], "/scale"),
         (["nonsqueeze", "--scale", "-1"], "/scale"),
         (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
+        (["nonsqueeze", "--cylinder-radius", "0"], "/cylinder-radius"),
         (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
         (["theorem", "--problem", "SEMIDEFINITE"], "/potential/V"),
         (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2, "--tol", "-1"],
@@ -654,6 +680,7 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         "theorem-negative-scale",
         "nonsqueeze-negative-scale",
         "nonsqueeze-cylinder-wider-than-ball",
+        "nonsqueeze-zero-cylinder",
         "nonsqueeze-infinite-ball",
         "theorem-semidefinite-potential",
         "ellipsoid-negative-tol",
@@ -698,6 +725,17 @@ def wide_ball_problem(radius=1e200, amplitude=1.0):
     return spec
 
 
+def sharp_gaussian_problem():
+    return {
+        "dim": 1,
+        "potential": {"V0": 0.0, "d": [0.0], "V": [[1.0]]},
+        "distribution": {
+            "type": "gaussian", "weight": 1e300, "mean": [0.0], "covariance": [[1e-300]],
+        },
+        "box": {"lo": [-0.5], "hi": [0.5]},
+    }
+
+
 def sweep_of(problem):
     problem["potential"]["V"][1][1] = "epsilon*" + repr(problem["potential"]["V"][1][1])
     return {"template": problem, "range": {"start": 1.0, "stop": 2.0, "points": 3}}
@@ -721,6 +759,10 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
           "--cylinder-radius", "1e199"], "/ball-radius"),
         (["sweep", "SWEEP_WIDE_BALL"], "/template/distribution"),
         (["sweep", "SWEEP_STIFF"], "/template/potential/V"),
+        (["restack", "WIDE_BALL", "--levels", "0", "--base-spacing", "1e199"],
+         "/distribution"),
+        # the density at the mean is beyond the float range
+        (["restack", "SHARP_GAUSSIAN", "--levels", "0"], "/distribution"),
     ],
     ids=[
         "bounds-ball-volume",
@@ -733,10 +775,13 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
         "nonsqueeze-radius",
         "sweep-ball-volume",
         "sweep-energy",
+        "restack-ball-radius",
+        "restack-gaussian-density",
     ],
 )
 def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, argv, pointer):
     files = {
+        "SHARP_GAUSSIAN": write_json(tmp_path / "sharp.json", sharp_gaussian_problem()),
         "WIDE_BALL": write_json(tmp_path / "ball.json", wide_ball_problem()),
         "HEAVY_BALL": write_json(tmp_path / "heavy.json", wide_ball_problem(1.0, 1e308)),
         "STIFF": write_json(tmp_path / "stiff.json", stiff_problem()),
@@ -747,6 +792,28 @@ def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, arg
     assert code == EXIT_SCHEMA
     assert out == ""
     assert err == f"schema error at {pointer}: a computed value is beyond the float range\n"
+
+
+# finite entries whose larger eigenvalue, 2.7e308, is beyond the float range
+OVERFLOWING_2 = "[[1.7e308, 1e308], [1e308, 1.7e308]]"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "ellipsoid", "--first", OVERFLOWING_2, "--second", IDENTITY_2],
+         "/first: matrix"),
+        (["bounds", "PROBLEM"], "/distribution: covariance"),
+    ],
+    ids=["ellipsoid-first", "bounds-covariance"],
+)
+def test_eigenvalues_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, argv, err):
+    spec = stiff_problem()
+    spec["distribution"]["covariance"] = json.loads(OVERFLOWING_2)
+    files = {"PROBLEM": write_json(tmp_path / "p.json", spec)}
+    code, out, stderr = run(capsys, [files.get(a, a) for a in argv])
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert stderr == f"schema error at {err} has an eigenvalue beyond the float range\n"
 
 
 def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
@@ -954,3 +1021,38 @@ def test_bounds_reads_any_json_distribution(tmp_path, capsys, distribution):
     }
     code, _, err = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
     assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE), err
+
+
+# well-formed objects of the rasterizable types: their numbers are mostly
+# moderate, and otherwise any finite float
+FINITE = mostly(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+FINITE_PAIRS = st.lists(FINITE, min_size=2, max_size=2)
+RASTERIZABLE = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("ball"), "radius": FINITE, "center": FINITE_PAIRS},
+        optional={"amplitude": FINITE},
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("ellipsoid"), "matrix": symmetric_2x2(FINITE),
+         "center": FINITE_PAIRS},
+        optional={"amplitude": FINITE},
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("grid"), "origin": FINITE_PAIRS, "spacing": FINITE,
+         "shape": st.just([2, 2]), "values": st.lists(FINITE, min_size=4, max_size=4)}
+    ),
+)
+
+
+@FUZZ_SETTINGS
+@given(distribution=DISTRIBUTIONS | RASTERIZABLE)
+def test_restack_reads_any_json_distribution(tmp_path, capsys, monkeypatch, distribution):
+    monkeypatch.setenv("PHASEMIN_MAX_CELLS", "4096")
+    spec = {
+        "n": 1,
+        "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]},
+        "distribution": distribution,
+    }
+    path = write_json(tmp_path / "p.json", spec)
+    code, _, err = run(capsys, ["restack", path, "--levels", "0,1"])
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_RESOURCE), err

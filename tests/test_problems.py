@@ -178,13 +178,37 @@ def test_dof_requires_even_dimension():
             lambda s: s.update(distribution={"type": "grid", "file": 5}),
             "/distribution/file",
         ),
+        (lambda s: s["distribution"].update(weight=0), "/distribution/weight"),
+        (
+            lambda s: s.update(
+                distribution={"type": "ball", "radius": 1.0, "center": [0.0] * 4,
+                              "amplitude": 0}
+            ),
+            "/distribution/amplitude",
+        ),
+        (lambda s: s.update(distribution=inline_grid(spacing=0)), "/distribution/spacing"),
+        (
+            lambda s: s.update(
+                distribution={"type": "particles", "points": [[0.0] * 4, [1.0] * 4],
+                              "weights": [1.0]}
+            ),
+            "/distribution/weights",
+        ),
+        # pointers of errors inside a grid file point into that file
+        (lambda s: s.update(distribution={"type": "grid", "file": "nan.json"}), "/values"),
+        (lambda s: s.update(distribution={"type": "grid", "file": "1e400.json"}), "/values"),
     ],
 )
-def test_schema_violations_carry_json_pointers(mutate, path):
+def test_schema_violations_carry_json_pointers(tmp_path, mutate, path):
+    # one-cell grid files whose CSV value np.loadtxt reads as nan or inf
+    for text in ("nan", "1e400"):
+        (tmp_path / f"{text}.csv").write_text(text + "\n", encoding="utf-8")
+        grid = {"dim": 4, "shape": [1] * 4, "origin": [0.0] * 4, "spacing": 1.0}
+        write_json(tmp_path / f"{text}.json", {**grid, "values_csv": f"{text}.csv"})
     spec = gaussian_problem_dict()
     mutate(spec)
     with pytest.raises(SchemaError) as info:
-        parse_problem(spec)
+        parse_problem(spec, str(tmp_path))
     assert info.value.path == path
     assert str(info.value).startswith(path + ": ")
 

@@ -305,19 +305,6 @@ def test_problem_geometry():
     np.testing.assert_allclose(grid.values, problem.density(centers))
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        RestackProblem(
-            density=lambda p: p[:, 0],
-            cell_energy=lambda p: p[:, 0],
-            lower=[1.0],
-            upper=[0.0],
-            level=1,
-        )
-    with pytest.raises(ValueError):
-        uniform_interval_problem(-1)
-
-
 def test_cell_cap_blocks_before_allocation():
     problem = RestackProblem(
         density=density(BallIndicator(0.5, [0.0])),

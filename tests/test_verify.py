@@ -94,10 +94,6 @@ def test_zero_scale_yields_identity():
 def test_sampler_validation():
     with pytest.raises(DimensionError):
         SymplecticSampler(0, seed=1)
-    with pytest.raises(ValueError):
-        SymplecticSampler(1, seed=1, scale=-1.0)
-    with pytest.raises(ValueError):
-        SymplecticSampler(1, seed=1).sample_batch(0)
 
 
 def test_sample_symplectic_advances_the_stream():
@@ -222,11 +218,3 @@ def test_nonsqueeze_energy_floor_is_the_gromov_bound():
     assert ellipsoid_cylinder_energy(np.eye(4)) == pytest.approx(
         bound, rel=1e-12
     )
-
-
-def test_nonsqueeze_validation():
-    sampler = SymplecticSampler(1, seed=0)
-    with pytest.raises(ValueError):
-        nonsqueeze_search(1.0, 1.5, 10, sampler)
-    with pytest.raises(ValueError):
-        nonsqueeze_search(1.0, 0.0, 10, sampler)
