@@ -50,7 +50,7 @@ from .errors import (
     PhaseMinError,
     SchemaError,
 )
-from .linalg import require_definite
+from .linalg import require_definite, sym_eig
 from .problems import (
     Problem,
     count,
@@ -336,10 +336,17 @@ def cmd_restack(args) -> int:
     cap = os.environ.get("PHASEMIN_MAX_CELLS", str(DEFAULT_CELL_CAP))
     cap = count(integer_text(cap, "/PHASEMIN_MAX_CELLS"), "/PHASEMIN_MAX_CELLS")
     lower, upper = _restack_box(problem)
-    evaluate = density(problem.distribution)
+
+    def cell_energy(points):
+        # the einsum of QuadraticPotential.evaluate overflows to inf without raising
+        energies = problem.potential.evaluate(points)
+        if not np.isfinite(energies).all():
+            raise SchemaError("/potential/V", "a computed value is beyond the float range")
+        return energies
+
     base = RestackProblem(
-        density=evaluate,
-        cell_energy=problem.potential.evaluate,
+        density=density(problem.distribution),
+        cell_energy=cell_energy,
         lower=lower,
         upper=upper,
         level=levels[0],
@@ -385,7 +392,7 @@ def _load_matrix_argument(text: str, pointer: str, size=None) -> tuple:
         )
     with _fails_at(pointer):
         matrix = require_definite(matrix, "matrix")
-        return matrix, symplectic_eigenvalues(matrix)
+        return matrix, symplectic_eigenvalues(sym_eig(matrix))
 
 
 def cmd_verify(args) -> int:

@@ -13,14 +13,14 @@ the moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import singledispatch
+from dataclasses import dataclass, field
+from functools import cached_property, singledispatch
 from typing import Callable, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionError, EmptyDistribution, NotSemidefinite
-from .linalg import is_semidefinite, require_definite, sym_eig, symmetrize
+from .linalg import EigenDecomposition, is_semidefinite, require_definite, sym_eig, symmetrize
 
 
 def sphere_surface_area(k: int) -> float:
@@ -48,16 +48,19 @@ class QuadraticPotential:
 
     ``matrix`` must be symmetric positive semidefinite; ``offset`` is the
     energy at the minimum.  Evaluating at z = minimum returns offset exactly.
+    ``decomposition`` is the eigendecomposition of ``matrix``.
     """
 
     offset: float
     minimum: np.ndarray
     matrix: np.ndarray
+    decomposition: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = symmetrize(self.matrix)
         low = _vector(self.minimum, mat.shape[0], "potential minimum")
-        w = np.linalg.eigvalsh(mat)
+        dec = sym_eig(mat)
+        w = dec.eigenvalues
         if not is_semidefinite(w):
             raise NotSemidefinite(
                 f"potential matrix has negative eigenvalue {w[0]:.6e}",
@@ -66,6 +69,7 @@ class QuadraticPotential:
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "minimum", low)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "decomposition", dec)
 
     @property
     def dim(self) -> int:
@@ -93,6 +97,11 @@ class Moments:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    @cached_property
+    def decomposition(self) -> EigenDecomposition:
+        """Eigendecomposition of ``second_moment``, computed on first read."""
+        return sym_eig(self.second_moment)
 
 
 @dataclass(frozen=True, eq=False)

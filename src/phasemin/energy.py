@@ -22,7 +22,7 @@ n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import Moments, QuadraticPotential, moment_energy
 from .errors import DegenerateMoments, DimensionError, NumericalInstability
-from .linalg import is_definite, sym_eig
+from .linalg import EigenDecomposition, sym_eig
 from .williamson import symplectic_eigenvalues, williamson
 
 # ridge added to a singular potential matrix when a concrete near-optimal map
@@ -55,18 +55,18 @@ class AffineMap:
 class EnergyReport:
     """Minimal energy over a map group; the minimizing map is built on first read.
 
-    ``map_potential`` is the definite matrix the map is built from: V, or V
-    with a ridge when V is singular.  On Sp reports ``potential_spectrum``
-    and ``moment_spectrum`` are the descending symplectic spectra of V and H
-    used in the bound formula; SL reports carry None there, because the SL
-    bound does not use them.
+    ``map_potential`` is the eigendecomposition of the definite matrix the
+    map is built from: V, or V with a ridge when V is singular.  On Sp
+    reports ``potential_spectrum`` and ``moment_spectrum`` are the
+    descending symplectic spectra of V and H used in the bound formula; SL
+    reports carry None there, because the SL bound does not use them.
     """
 
     energy: float
     group: str
     moments: Moments
     potential: QuadraticPotential
-    map_potential: np.ndarray
+    map_potential: EigenDecomposition
     potential_spectrum: Optional[np.ndarray] = None
     moment_spectrum: Optional[np.ndarray] = None
 
@@ -80,7 +80,7 @@ class EnergyReport:
     def map(self) -> AffineMap:
         build = sl_optimal_map if self.group == "SL" else sp_optimal_map
         return AffineMap(
-            matrix=build(self.map_potential, self.moments.second_moment),
+            matrix=build(self.map_potential, self.moments.decomposition),
             center=self.moments.center.copy(),
             target=self.potential.minimum.copy(),
         )
@@ -100,35 +100,23 @@ def moment_matrix(m: Moments, potential: QuadraticPotential) -> np.ndarray:
         )
     if m.dim % 2:
         raise DimensionError(f"phase-space dimension must be even, got {m.dim}")
-    h = m.second_moment
-    w = np.linalg.eigvalsh(h)
-    if not is_definite(w):
+    if not m.decomposition.definite:
+        w = m.decomposition.eigenvalues
         raise DegenerateMoments(
             f"second-moment matrix is singular (smallest eigenvalue {w[0]:.6e}); "
             "the distribution does not span phase space"
         )
-    return h
+    return m.second_moment
 
 
-def _map_potential(v: np.ndarray) -> np.ndarray:
-    """V when it is definite, else V with a small ridge, to build a map from."""
-    if is_definite(np.linalg.eigvalsh(v)):
-        return v
+def _map_potential(potential: QuadraticPotential) -> EigenDecomposition:
+    """Decomposition of V when it is definite, else of V with a small ridge,
+    to build a map from."""
+    if potential.decomposition.definite:
+        return potential.decomposition
+    v = potential.matrix
     scale = max(1.0, float(np.abs(v).max()))
-    return v + MAP_RIDGE * scale * np.eye(v.shape[0])
-
-
-def _spectra(v: np.ndarray, h: np.ndarray) -> tuple:
-    return symplectic_eigenvalues(v), symplectic_eigenvalues(h)
-
-
-def _sl_energy(floor: float, v: np.ndarray, h: np.ndarray) -> float:
-    """floor + 2n * det(V H)^(1/(2n)); just floor when V is singular."""
-    if not is_definite(np.linalg.eigvalsh(v)):
-        return floor
-    dim = v.shape[0]
-    mean_log = (np.linalg.slogdet(v)[1] + np.linalg.slogdet(h)[1]) / dim
-    return floor + dim * math.exp(mean_log)
+    return sym_eig(v + MAP_RIDGE * scale * np.eye(v.shape[0]))
 
 
 def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray) -> float:
@@ -136,17 +124,10 @@ def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray) -> float
     return float(np.dot(spectrum_h, spectrum_v[::-1]))
 
 
-def _sp_energy(floor: float, spectra: tuple) -> float:
-    """floor + 2 * sum_k dV_k dH_(n+1-k) over the descending spectra (dV, dH)."""
-    spectrum_v, spectrum_h = spectra
-    return floor + 2 * anti_sorted_pairing(spectrum_v, spectrum_h)
-
-
-def sl_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Unit-determinant A minimizing tr(V A H A.T) for definite V and H."""
-    dec_v = sym_eig(v)
-    dec_h = sym_eig(h)
-    n2 = v.shape[0]
+def sl_optimal_map(dec_v: EigenDecomposition, dec_h: EigenDecomposition) -> np.ndarray:
+    """Unit-determinant A minimizing tr(V A H A.T) for definite V and H,
+    given as their eigendecompositions."""
+    n2 = dec_v.eigenvalues.shape[0]
     log_det = np.log(dec_v.eigenvalues).sum() + np.log(dec_h.eigenvalues).sum()
     gain = math.exp(log_det / (2 * n2))
     stretch = gain / np.sqrt(dec_v.eigenvalues)
@@ -154,20 +135,21 @@ def sl_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (dec_v.basis * stretch) @ (dec_h.basis * squeeze).T
 
 
-def sp_optimal_map(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Symplectic A minimizing tr(V A H A.T) for definite V and H.
+def sp_optimal_map(dec_v: EigenDecomposition, dec_h: EigenDecomposition) -> np.ndarray:
+    """Symplectic A minimizing tr(V A H A.T) for definite V and H, given as
+    their eigendecompositions.
 
     Composes the Williamson bases of V and H with the symplectic relabeling
     x_k -> x_(n+1-k), p_k -> p_(n+1-k), which pairs the spectra in opposite
     order.
     """
-    n = v.shape[0] // 2
+    n = dec_v.eigenvalues.shape[0] // 2
     reverse = np.eye(n)[::-1]
     relabel = np.block(
         [[reverse, np.zeros((n, n))], [np.zeros((n, n)), reverse]]
     )
-    s_v = williamson(v).transform
-    s_h = williamson(h).transform
+    s_v = williamson(dec_v).transform
+    s_h = williamson(dec_h).transform
     return s_v @ relabel @ s_h.T
 
 
@@ -179,9 +161,12 @@ def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyRe
     attained; the report's map is then built from a slightly ridged V.
     """
     h = moment_matrix(m, potential)
-    v = potential.matrix
-    energy = _sl_energy(potential.offset * m.mass, v, h)
-    return EnergyReport(float(energy), "SL", m, potential, _map_potential(v))
+    energy = potential.offset * m.mass
+    if potential.decomposition.definite:
+        dim = h.shape[0]
+        mean_log = (np.linalg.slogdet(potential.matrix)[1] + np.linalg.slogdet(h)[1]) / dim
+        energy += dim * math.exp(mean_log)
+    return EnergyReport(float(energy), "SL", m, potential, _map_potential(potential))
 
 
 def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
@@ -192,11 +177,13 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     eigenvalues simply drop the largest moments from the sum, and the
     report's map is built from a slightly ridged V.
     """
-    h = moment_matrix(m, potential)
-    v = potential.matrix
-    spectra = _spectra(v, h)
-    energy = _sp_energy(potential.offset * m.mass, spectra)
-    return EnergyReport(float(energy), "Sp", m, potential, _map_potential(v), *spectra)
+    moment_matrix(m, potential)
+    spectrum_v = symplectic_eigenvalues(potential.decomposition)
+    spectrum_h = symplectic_eigenvalues(m.decomposition)
+    energy = potential.offset * m.mass + 2 * anti_sorted_pairing(spectrum_v, spectrum_h)
+    return EnergyReport(
+        float(energy), "Sp", m, potential, _map_potential(potential), spectrum_v, spectrum_h
+    )
 
 
 def verify_map_optimality(
@@ -240,23 +227,17 @@ def degenerate_limit(
     """
     if group not in ("SL", "Sp"):
         raise ValueError(f"group must be 'SL' or 'Sp', got {group!r}")
-    h = moment_matrix(m, potential)
+    group_energy = linear_gardner_energy if group == "SL" else linear_gromov_energy
     eps = [float(e) for e in eps_sequence]
     if len(eps) < 2:
         raise ValueError("need at least two ridge values to extrapolate")
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("ridge sequence must be positive and strictly decreasing")
 
-    v = potential.matrix
-    eye = np.eye(v.shape[0])
-    floor = potential.offset * m.mass
-
-    def group_energy(ridged):
-        if group == "SL":
-            return _sl_energy(floor, ridged, h)
-        return _sp_energy(floor, _spectra(ridged, h))
-
-    energies = [group_energy(v + e * eye) for e in eps]
+    eye = np.eye(potential.dim)
+    ridged = [replace(potential, matrix=potential.matrix + e * eye) for e in eps]
+    reports = [group_energy(m, p) for p in ridged]
+    energies = [r.energy for r in reports]
     scale = max(1.0, max(abs(e) for e in energies))
     for previous, current in zip(energies, energies[1:]):
         if current > previous + 1e-12 * scale:
@@ -267,15 +248,14 @@ def degenerate_limit(
     e1, e2 = eps[-2], eps[-1]
     y1, y2 = energies[-2], energies[-1]
     extrapolated = y2 - e2 * (y1 - y2) / (e1 - e2)
-    direct = group_energy(v)
-    if abs(extrapolated - direct) > agreement_rtol * (1.0 + abs(direct)):
+    direct = group_energy(m, potential)
+    if abs(extrapolated - direct.energy) > agreement_rtol * (1.0 + abs(direct.energy)):
         raise NumericalInstability(
             f"extrapolated limit {extrapolated!r} disagrees with the direct "
-            f"formula {direct!r} beyond relative tolerance {agreement_rtol}"
+            f"formula {direct.energy!r} beyond relative tolerance {agreement_rtol}"
         )
-    energy = float(max(extrapolated, floor))
-    spectra = _spectra(v, h) if group == "Sp" else (None, None)
-    return EnergyReport(energy, group, m, potential, v + eps[-1] * eye, *spectra)
+    energy = float(max(extrapolated, potential.offset * m.mass))
+    return replace(direct, energy=energy, map_potential=reports[-1].map_potential)
 
 
 def bump_on_tail_1d(

@@ -79,6 +79,14 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
+    @property
+    def definite(self) -> bool:
+        return is_definite(self.eigenvalues)
+
+    def power(self, exponent: float) -> np.ndarray:
+        """The matrix raised to ``exponent``; definite input for a negative one."""
+        return (self.basis * self.eigenvalues**exponent) @ self.basis.T
+
 
 def sym_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix with a det +1 basis."""
@@ -91,22 +99,6 @@ def sym_eig(m) -> EigenDecomposition:
         q = q.copy()
         q[:, 0] = -q[:, 0]
     return EigenDecomposition(w, q)
-
-
-def pd_power(m, exponent: float) -> np.ndarray:
-    """Spectral power of a symmetric positive definite matrix.
-
-    Intended exponents are 1/2, -1/2 and -1.  Eigenvalues at or below
-    ``PD_RTOL`` times the largest one mean the input is not usably definite.
-    """
-    dec = sym_eig(m)
-    w = dec.eigenvalues
-    if not is_definite(w):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (smallest eigenvalue {w[0]:.6e})",
-            eigenvalue=w[0],
-        )
-    return (dec.basis * w**exponent) @ dec.basis.T
 
 
 def require_definite(matrix, name: str) -> np.ndarray:

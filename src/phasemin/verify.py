@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
 from .errors import DimensionError, NumericalInstability
-from .linalg import require_definite, symplectic_form
+from .linalg import require_definite, sym_eig, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
 
@@ -148,11 +148,12 @@ def check_trace_minimum(
             f"sampler produces {2 * sampler.dof}x{2 * sampler.dof} matrices, "
             f"matrices are {v.shape[0]}x{v.shape[0]}"
         )
+    dec_v, dec_h = sym_eig(v), sym_eig(h)
     bound = 2.0 * anti_sorted_pairing(
-        symplectic_eigenvalues(v), symplectic_eigenvalues(h)
+        symplectic_eigenvalues(dec_v), symplectic_eigenvalues(dec_h)
     )
     # the optimal map for tr(V A H A.T) enters the S-form through its transpose
-    candidate = sp_optimal_map(v, h).T
+    candidate = sp_optimal_map(dec_v, dec_h).T
     best = float(np.trace(candidate @ v @ candidate.T @ h))
     violations = int(best < bound - 1e-8 * bound)
     remaining = int(trials)
@@ -177,8 +178,8 @@ def ellipsoids_equivalent(first, second, tol: float = 1e-8) -> bool:
     b = require_definite(second, "second shape matrix")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sa = symplectic_eigenvalues(a)
-    sb = symplectic_eigenvalues(b)
+    sa = symplectic_eigenvalues(sym_eig(a))
+    sb = symplectic_eigenvalues(sym_eig(b))
     return bool(np.all(np.abs(sa - sb) <= tol * np.maximum(sa, sb)))
 
 

@@ -19,27 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .errors import DimensionError, NotSemidefinite, NumericalInstability
-from .linalg import (
-    ZERO_CLAMP_RTOL,
-    is_semidefinite,
-    pd_power,
-    sym_eig,
-    symmetrize,
-    symplectic_form,
-)
+from .errors import DimensionError, NotPositiveDefinite, NotSemidefinite, NumericalInstability
+from .linalg import ZERO_CLAMP_RTOL, EigenDecomposition, is_semidefinite, symplectic_form
 
 
-def _even_dim(m) -> int:
-    if m.shape[0] % 2:
-        raise DimensionError(
-            f"phase-space matrices have even dimension, got {m.shape[0]}"
-        )
-    return m.shape[0] // 2
+def _even_dim(dec: EigenDecomposition) -> int:
+    dim = dec.eigenvalues.shape[0]
+    if dim % 2:
+        raise DimensionError(f"phase-space matrices have even dimension, got {dim}")
+    return dim // 2
 
 
-def symplectic_eigenvalues(m) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive semidefinite matrix.
+def symplectic_eigenvalues(dec: EigenDecomposition) -> np.ndarray:
+    """Symplectic spectrum of a symmetric positive semidefinite matrix m,
+    given as its eigendecomposition ``dec``.
 
     Returns the n values d_1 >= d_2 >= ... >= 0 with ±i·d_k the eigenvalues
     of J @ m.  Semidefinite input is allowed; values below
@@ -50,9 +43,7 @@ def symplectic_eigenvalues(m) -> np.ndarray:
     K @ K.T whose eigenvalues are the squared symplectic eigenvalues, each
     twice.
     """
-    m = symmetrize(m)
-    n = _even_dim(m)
-    dec = sym_eig(m)
+    n = _even_dim(dec)
     w = dec.eigenvalues
     if not is_semidefinite(w):
         raise NotSemidefinite(
@@ -87,8 +78,9 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.spectrum, self.spectrum]))
 
 
-def williamson(m) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive definite matrix.
+def williamson(dec: EigenDecomposition) -> WilliamsonDecomposition:
+    """Williamson normal form of a symmetric positive definite matrix m,
+    given as its eigendecomposition ``dec``.
 
     Construction: with R = m^(-1/2), the matrix K = R @ J @ R is
     skew-symmetric, and its real Schur form is block diagonal with 2x2
@@ -97,13 +89,20 @@ def williamson(m) -> WilliamsonDecomposition:
     each pair fixed so the upper-right block of O.T @ K @ O is positive
     gives S = R @ O @ (diag(d)^(1/2) ⊕ diag(d)^(1/2)).
     """
-    m = symmetrize(m)
-    n = _even_dim(m)
-    inv_root = pd_power(m, -0.5)
+    n = _even_dim(dec)
+    if not dec.definite:
+        low = dec.eigenvalues[0]
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite (smallest eigenvalue {low:.6e})", eigenvalue=low
+        )
+    inv_root = dec.power(-0.5)
     j = symplectic_form(n)
     k = inv_root @ j @ inv_root
     k = (k - k.T) / 2.0
-    t, z = schur(k)
+    try:
+        t, z = schur(k)
+    except np.linalg.LinAlgError as err:
+        raise NumericalInstability(f"real Schur form did not converge: {err}") from None
 
     pair_cols = []
     b = np.empty(n)

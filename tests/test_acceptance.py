@@ -37,7 +37,7 @@ from phasemin.energy import (
     linear_gromov_energy,
     verify_map_optimality,
 )
-from phasemin.linalg import symplectic_residual
+from phasemin.linalg import sym_eig, symplectic_residual
 from phasemin.restack import RestackProblem, restack, restack_grid
 from phasemin.verify import (
     SymplecticSampler,
@@ -212,7 +212,7 @@ def test_criterion_4_normal_form_suite(checklist):
         for index in range(125):
             rng = np.random.default_rng(4000 + 125 * dim + index)
             m = random_spd(rng, dim)
-            w = williamson(m)
+            w = williamson(sym_eig(m))
             recon = w.transform.T @ m @ w.transform
             worst_block = max(
                 worst_block,

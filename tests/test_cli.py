@@ -14,6 +14,7 @@ from phasemin.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SCHEMA,
+    EXIT_VERIFY_FAILED,
     RESTACK_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SWEEP_MAX_POINTS,
@@ -143,6 +144,24 @@ def test_bounds_rejects_odd_dimension(tmp_path, capsys):
     code, _, err = run(capsys, ["bounds", path])
     assert code == EXIT_SCHEMA
     assert "/dim" in err
+
+
+# cond 4.2 and symplectic spectrum (1, 1); scipy's real Schur form of the
+# williamson kernel does not converge on it
+SCHUR_FAILURE_COVARIANCE = [
+    [1.531094409656899, 0.4420862406392282, -0.2119969701621644, -0.2003415911331863],
+    [0.4420862406392282, 1.4606856362856044, -0.21991165786485992, -0.11231183770317281],
+    [-0.2119969701621644, -0.21991165786485992, 0.7639157263248875, -0.18237828688158905],
+    [-0.2003415911331863, -0.11231183770317281, -0.18237828688158905, 0.7786058158601474],
+]
+
+
+def test_bounds_reports_a_schur_failure_in_one_line(tmp_path, capsys):
+    spec = gaussian_problem(1.0)
+    spec["distribution"]["covariance"] = SCHUR_FAILURE_COVARIANCE
+    code, out, err = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
+    assert (code, out) == (EXIT_VERIFY_FAILED, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_problem_file_is_an_io_error(tmp_path, capsys):
@@ -276,6 +295,27 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     problem = write_json(tmp_path / "p.json", gaussian_problem(0.5))
     assert run(capsys, ["bounds", problem])[0] == EXIT_OK
     assert sorted(built) == ["sl_optimal_map", "sp_optimal_map"]
+
+
+def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counting(*args, name=name, solve=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    # bounds: one eigh each for V and H; the eigvalsh calls are the reader's
+    # covariance check and the Gram spectra of V and H
+    problem = write_json(tmp_path / "p.json", gaussian_problem(0.5))
+    assert run(capsys, ["bounds", problem])[0] == EXIT_OK
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 3)
+    # a sweep decomposes H once and each point's V once
+    calls.clear()
+    sweep = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
+    assert run(capsys, ["sweep", sweep])[0] == EXIT_OK
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (6, 11)
 
 
 def test_sweep_log_spacing(tmp_path, capsys):
@@ -761,6 +801,9 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
         (["sweep", "SWEEP_STIFF"], "/template/potential/V"),
         (["restack", "WIDE_BALL", "--levels", "0", "--base-spacing", "1e199"],
          "/distribution"),
+        # the density is in range; the cell energies of V are not
+        (["restack", "STIFF_BALL", "--levels", "0", "--base-spacing", "1e4"],
+         "/potential/V"),
         # the density at the mean is beyond the float range
         (["restack", "SHARP_GAUSSIAN", "--levels", "0"], "/distribution"),
     ],
@@ -776,6 +819,7 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
         "sweep-ball-volume",
         "sweep-energy",
         "restack-ball-radius",
+        "restack-cell-energy",
         "restack-gaussian-density",
     ],
 )
@@ -787,6 +831,10 @@ def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, arg
         "STIFF": write_json(tmp_path / "stiff.json", stiff_problem()),
         "SWEEP_WIDE_BALL": write_json(tmp_path / "s1.json", sweep_of(wide_ball_problem())),
         "SWEEP_STIFF": write_json(tmp_path / "s2.json", sweep_of(stiff_problem())),
+        "STIFF_BALL": write_json(
+            tmp_path / "stiff_ball.json",
+            {**wide_ball_problem(1e5), "potential": stiff_problem()["potential"]},
+        ),
     }
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == EXIT_SCHEMA

@@ -36,7 +36,7 @@ from phasemin.energy import (
     verify_map_optimality,
 )
 from phasemin.errors import DegenerateMoments, DimensionError, NumericalInstability
-from phasemin.linalg import symplectic_form, symplectic_residual
+from phasemin.linalg import sym_eig, symplectic_form, symplectic_residual
 from phasemin.verify import SymplecticSampler
 
 EPS_FAMILY = (0.1, 0.5, 1.0, 2.0, 3.0)
@@ -281,9 +281,9 @@ def test_optimal_map_properties():
     rng = np.random.default_rng(33)
     v = random_spd(rng, 4)
     h = random_spd(rng, 4)
-    a_sl = sl_optimal_map(v, h)
+    a_sl = sl_optimal_map(sym_eig(v), sym_eig(h))
     assert np.linalg.det(a_sl) == pytest.approx(1.0, rel=1e-9)
-    a_sp = sp_optimal_map(v, h)
+    a_sp = sp_optimal_map(sym_eig(v), sym_eig(h))
     assert symplectic_residual(a_sp) <= 1e-10
     # both maps attain their closed-form minima
     m = moments_from_matrix(h)

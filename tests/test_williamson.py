@@ -3,7 +3,7 @@ import pytest
 
 from conftest import paired_spectrum_synthesis, random_spd
 from phasemin.errors import NotPositiveDefinite, NotSemidefinite
-from phasemin.linalg import symplectic_form, symplectic_residual
+from phasemin.linalg import sym_eig, symplectic_form, symplectic_residual
 from phasemin.verify import SymplecticSampler
 from phasemin.williamson import symplectic_eigenvalues, williamson
 
@@ -29,8 +29,8 @@ def diagonal_case_spectrum(entries):
 def test_diagonal_matrices_match_closed_form(diagonal):
     m = np.diag(diagonal)
     expected = diagonal_case_spectrum(diagonal)
-    np.testing.assert_allclose(symplectic_eigenvalues(m), expected, rtol=1e-12)
-    np.testing.assert_allclose(williamson(m).spectrum, expected, rtol=1e-12)
+    np.testing.assert_allclose(symplectic_eigenvalues(sym_eig(m)), expected, rtol=1e-12)
+    np.testing.assert_allclose(williamson(sym_eig(m)).spectrum, expected, rtol=1e-12)
 
 
 def test_decomposition_reconstructs_random_matrices():
@@ -38,7 +38,7 @@ def test_decomposition_reconstructs_random_matrices():
     for trial in range(120):
         dof = 1 + trial % 4
         m = random_spd(rng, 2 * dof, spread=4.0)
-        dec = williamson(m)
+        dec = williamson(sym_eig(m))
         s = dec.transform
         assert symplectic_residual(s) <= 1e-9
         np.testing.assert_allclose(
@@ -56,7 +56,7 @@ def test_spectrum_routes_agree():
         dof = 1 + trial % 3
         m = random_spd(rng, 2 * dof)
         np.testing.assert_allclose(
-            symplectic_eigenvalues(m), williamson(m).spectrum, rtol=1e-9
+            symplectic_eigenvalues(sym_eig(m)), williamson(sym_eig(m)).spectrum, rtol=1e-9
         )
 
 
@@ -67,8 +67,8 @@ def test_spectrum_invariant_under_symplectic_congruence():
         m = random_spd(rng, 4)
         t = sampler.sample()
         np.testing.assert_allclose(
-            symplectic_eigenvalues(t.T @ m @ t),
-            symplectic_eigenvalues(m),
+            symplectic_eigenvalues(sym_eig(t.T @ m @ t)),
+            symplectic_eigenvalues(sym_eig(m)),
             rtol=1e-8,
         )
 
@@ -77,8 +77,8 @@ def test_spectrum_scales_linearly():
     rng = np.random.default_rng(3)
     m = random_spd(rng, 6)
     np.testing.assert_allclose(
-        symplectic_eigenvalues(7.5 * m),
-        7.5 * symplectic_eigenvalues(m),
+        symplectic_eigenvalues(sym_eig(7.5 * m)),
+        7.5 * symplectic_eigenvalues(sym_eig(m)),
         rtol=1e-10,
     )
 
@@ -86,37 +86,38 @@ def test_spectrum_scales_linearly():
 def test_prescribed_spectrum_round_trip():
     target = np.array([3.0, 1.0, 0.5])
     m = paired_spectrum_synthesis(seed=9, dof=3, spectrum=target)
-    np.testing.assert_allclose(symplectic_eigenvalues(m), target, rtol=1e-9)
+    np.testing.assert_allclose(symplectic_eigenvalues(sym_eig(m)), target, rtol=1e-9)
 
 
 def test_semidefinite_spectra_clamp_to_zero():
     np.testing.assert_allclose(
-        symplectic_eigenvalues(np.diag([1.0, 0.0, 1.0, 0.0])), [1.0, 0.0]
+        symplectic_eigenvalues(sym_eig(np.diag([1.0, 0.0, 1.0, 0.0]))), [1.0, 0.0]
     )
     np.testing.assert_allclose(
-        symplectic_eigenvalues(np.zeros((4, 4))), [0.0, 0.0]
+        symplectic_eigenvalues(sym_eig(np.zeros((4, 4)))), [0.0, 0.0]
     )
     # one zero pair out of two: the positive value survives untouched
-    values = symplectic_eigenvalues(np.diag([4.0, 0.0, 9.0, 0.0]))
+    values = symplectic_eigenvalues(sym_eig(np.diag([4.0, 0.0, 9.0, 0.0])))
     np.testing.assert_allclose(values, [6.0, 0.0], rtol=1e-12)
 
 
 def test_indefinite_matrix_is_rejected():
     with pytest.raises(NotSemidefinite) as info:
-        symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))
+        symplectic_eigenvalues(sym_eig(np.diag([1.0, -1.0, 1.0, 1.0])))
     assert info.value.eigenvalue < 0
 
 
 def test_williamson_requires_definite_input():
-    with pytest.raises(NotPositiveDefinite):
-        williamson(np.diag([1.0, 0.0, 1.0, 1.0]))
+    with pytest.raises(NotPositiveDefinite) as info:
+        williamson(sym_eig(np.diag([1.0, 0.0, 1.0, 1.0])))
+    assert info.value.eigenvalue is not None
 
 
 def test_odd_dimension_is_rejected():
     from phasemin.errors import DimensionError
 
     with pytest.raises(DimensionError):
-        symplectic_eigenvalues(np.eye(3))
+        symplectic_eigenvalues(sym_eig(np.eye(3)))
 
 
 def test_transform_diagonalizes_the_form_action():
@@ -128,5 +129,5 @@ def test_transform_diagonalizes_the_form_action():
     eig = np.linalg.eigvals(j @ m)
     observed = np.sort(np.abs(eig.imag))[::2]
     np.testing.assert_allclose(
-        np.sort(symplectic_eigenvalues(m)), observed, rtol=1e-9
+        np.sort(symplectic_eigenvalues(sym_eig(m))), observed, rtol=1e-9
     )
