@@ -84,6 +84,8 @@ EXIT_RESOURCE = 5
 RESTACK_MAX_DIM = 4
 # every point of a sweep is evaluated: a count beyond this fails as a cell cap does
 SWEEP_MAX_POINTS = 10**6
+# a sampler batch holds stacks of (2 dof)^2 matrices: peak memory grows as dof^2
+VERIFY_MAX_DOF = 16
 SWEEP_CSV_HEADER = "epsilon,E_initial,E_SL,E_Sp,F_SL,F_Sp"
 RESTACK_CSV_HEADER = "level,h,cells,energy,pre_energy"
 
@@ -280,6 +282,7 @@ def cmd_sweep(args) -> int:
     # only V depends on epsilon: the rest of the template is parsed once
     first = {**template, "potential": _substitute_potential(template, values[0])}
     problem = parse_problem(first, base_dir, root="/template")
+    problem.dof  # the Sp energies need an even dimension: fail at /template/dim
     with _fails_at("/template/distribution"):
         m = moments(problem.distribution)
     with _fails_at("/template/potential/V"):
@@ -376,9 +379,9 @@ def cmd_restack(args) -> int:
 # verify
 
 
-def _load_matrix_argument(text: str, pointer: str, size=None) -> tuple:
-    """A definite shape matrix of even side ``size`` (any even side if None),
-    and its symplectic spectrum."""
+def _load_matrix_argument(text: str, pointer: str, size=None) -> np.ndarray:
+    """The symplectic spectrum of a definite shape matrix of even side
+    ``size`` (any even side if None)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
@@ -391,8 +394,14 @@ def _load_matrix_argument(text: str, pointer: str, size=None) -> tuple:
             pointer, f"phase-space dimension must be even, got {matrix.shape[0]}"
         )
     with _fails_at(pointer):
-        matrix = require_definite(matrix, "matrix")
-        return matrix, symplectic_eigenvalues(sym_eig(matrix))
+        return symplectic_eigenvalues(require_definite(sym_eig(matrix), "matrix"))
+
+
+def _sampler(dof: int, seed: int, scale: float, pointer: str) -> SymplecticSampler:
+    if dof > VERIFY_MAX_DOF:
+        need = f"{pointer}: the sampler needs {{}} degrees of freedom"
+        raise CellCapExceeded(dof, VERIFY_MAX_DOF, need)
+    return SymplecticSampler(dof, seed, scale)
 
 
 def cmd_verify(args) -> int:
@@ -404,12 +413,13 @@ def cmd_verify(args) -> int:
         if not args.problem:
             raise SchemaError("/problem", "verify theorem needs --problem")
         problem = load_problem(args.problem)
-        sampler = SymplecticSampler(problem.dof, args.seed, args.scale)
+        sampler = _sampler(problem.dof, args.seed, args.scale, "/dim")
         with _fails_at("/distribution"):
             m = moments(problem.distribution)
         with _fails_at("/potential/V"):
-            h = moment_matrix(m, problem.potential)
-            result = check_trace_minimum(problem.potential.matrix, h, args.trials, sampler)
+            moment_matrix(m, problem.potential)
+            dec_v = require_definite(problem.potential.decomposition, "V")
+            result = check_trace_minimum(dec_v, m.decomposition, args.trials, sampler)
             payload = {
                 "kind": "theorem",
                 "trials": args.trials,
@@ -430,7 +440,7 @@ def cmd_verify(args) -> int:
                 f"expected 0 < cylinder radius < ball radius {args.ball_radius}, "
                 f"got {args.cylinder_radius}",
             )
-        sampler = SymplecticSampler(args.dof, args.seed, args.scale)
+        sampler = _sampler(args.dof, args.seed, args.scale, "/dof")
         with _fails_at("/ball-radius"):
             result = nonsqueeze_search(
                 args.ball_radius, args.cylinder_radius, args.trials, sampler
@@ -451,13 +461,13 @@ def cmd_verify(args) -> int:
     if not args.first or not args.second:
         raise SchemaError("/first", "verify ellipsoid needs --first and --second")
     nonnegative(args.tol, "/tol")
-    first, first_spectrum = _load_matrix_argument(args.first, "/first")
-    second, second_spectrum = _load_matrix_argument(args.second, "/second", first.shape[0])
+    first = _load_matrix_argument(args.first, "/first")
+    second = _load_matrix_argument(args.second, "/second", 2 * first.shape[0])
     payload = {
         "kind": "ellipsoid",
         "equivalent": ellipsoids_equivalent(first, second, tol=args.tol),
-        "first_spectrum": first_spectrum.tolist(),
-        "second_spectrum": second_spectrum.tolist(),
+        "first_spectrum": first.tolist(),
+        "second_spectrum": second.tolist(),
     }
     _emit(_json_report(payload), args.output)
     return EXIT_OK

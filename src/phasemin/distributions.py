@@ -19,8 +19,10 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError, EmptyDistribution, NotSemidefinite
-from .linalg import EigenDecomposition, is_semidefinite, require_definite, sym_eig, symmetrize
+from .errors import DimensionError, EmptyDistribution
+from .linalg import (
+    EigenDecomposition, require_definite, require_semidefinite, sym_eig, symmetrize
+)
 
 
 def sphere_surface_area(k: int) -> float:
@@ -57,18 +59,12 @@ class QuadraticPotential:
     decomposition: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = symmetrize(self.matrix)
-        low = _vector(self.minimum, mat.shape[0], "potential minimum")
-        dec = sym_eig(mat)
-        w = dec.eigenvalues
-        if not is_semidefinite(w):
-            raise NotSemidefinite(
-                f"potential matrix has negative eigenvalue {w[0]:.6e}",
-                eigenvalue=w[0],
-            )
+        dec = sym_eig(self.matrix)
+        low = _vector(self.minimum, dec.matrix.shape[0], "potential minimum")
+        require_semidefinite(dec, "potential matrix")
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "minimum", low)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", dec.matrix)
         object.__setattr__(self, "decomposition", dec)
 
     @property
@@ -106,18 +102,23 @@ class Moments:
 
 @dataclass(frozen=True, eq=False)
 class Gaussian:
-    """Weighted Gaussian: weight * normal density with the given mean/covariance."""
+    """Weighted Gaussian: weight * normal density with the given mean/covariance.
+
+    ``decomposition`` is the eigendecomposition of ``covariance``.
+    """
 
     weight: float
     mean: np.ndarray
     covariance: np.ndarray
+    decomposition: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        cov = require_definite(self.covariance, "covariance")
-        mean = _vector(self.mean, cov.shape[0], "mean")
+        dec = require_definite(sym_eig(self.covariance), "covariance")
+        mean = _vector(self.mean, dec.matrix.shape[0], "mean")
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "covariance", dec.matrix)
+        object.__setattr__(self, "decomposition", dec)
 
     @property
     def dim(self) -> int:
@@ -144,17 +145,22 @@ class BallIndicator:
 
 @dataclass(frozen=True, eq=False)
 class EllipsoidIndicator:
-    """Constant amplitude on {z : (z - center).T @ matrix @ (z - center) <= 1}."""
+    """Constant amplitude on {z : (z - center).T @ matrix @ (z - center) <= 1}.
+
+    ``decomposition`` is the eigendecomposition of ``matrix``.
+    """
 
     matrix: np.ndarray
     center: np.ndarray
     amplitude: float = 1.0
+    decomposition: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = require_definite(self.matrix, "ellipsoid matrix")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "center", _vector(self.center, mat.shape[0], "center"))
+        dec = require_definite(sym_eig(self.matrix), "ellipsoid matrix")
+        object.__setattr__(self, "matrix", dec.matrix)
+        object.__setattr__(self, "center", _vector(self.center, dec.matrix.shape[0], "center"))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "decomposition", dec)
 
     @property
     def dim(self) -> int:
@@ -282,7 +288,7 @@ def _(f: BallIndicator) -> Moments:
 @moments.register
 def _(f: EllipsoidIndicator) -> Moments:
     d = f.dim
-    dec = sym_eig(f.matrix)
+    dec = f.decomposition
     root_det = float(np.prod(np.sqrt(dec.eigenvalues)))
     inverse = (dec.basis / dec.eigenvalues) @ dec.basis.T
     mass = f.amplitude * ball_volume(d) / root_det
@@ -367,7 +373,7 @@ def density(f) -> Callable[[np.ndarray], np.ndarray]:
 
 @density.register
 def _(f: Gaussian):
-    dec = sym_eig(f.covariance)
+    dec = f.decomposition
     log_norm = -0.5 * (f.dim * math.log(2 * math.pi) + np.log(dec.eigenvalues).sum())
     inverse = (dec.basis / dec.eigenvalues) @ dec.basis.T
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
+from .errors import DimensionError, NotPositiveDefinite, NotSemidefinite, NumericalInstability
 
 # Tolerances are relative to the largest magnitude entry (or eigenvalue)
 # unless a docstring says otherwise.
@@ -21,22 +21,6 @@ PD_RTOL = 1e-12
 PSD_RTOL = 1e-12
 # symplectic eigenvalues this small relative to |M| are reported as exact zeros
 ZERO_CLAMP_RTOL = 1e-10
-
-
-def is_definite(w) -> bool:
-    """Whether ascending eigenvalues ``w`` belong to a usably definite matrix.
-
-    The smallest eigenvalue must exceed ``PD_RTOL`` times the largest one.
-    """
-    return bool(w[-1] > 0 and w[0] > PD_RTOL * w[-1])
-
-
-def is_semidefinite(w) -> bool:
-    """Whether ascending eigenvalues ``w`` have no genuinely negative member.
-
-    Negative values within ``PSD_RTOL`` of the largest magnitude are rounding.
-    """
-    return bool(w[0] >= -PSD_RTOL * max(abs(w[0]), abs(w[-1])))
 
 
 def as_square(a) -> np.ndarray:
@@ -71,17 +55,21 @@ def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 class EigenDecomposition:
     """Spectral factorization of a symmetric matrix.
 
-    ``eigenvalues`` are ascending; ``basis`` is special orthogonal with the
-    matching eigenvectors as columns, so ``basis @ diag(eigenvalues) @ basis.T``
-    reconstructs the input.
+    ``matrix`` is the symmetrized input; ``eigenvalues`` are ascending;
+    ``basis`` is special orthogonal with the matching eigenvectors as
+    columns, so ``basis @ diag(eigenvalues) @ basis.T`` reconstructs
+    ``matrix``.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
+    matrix: np.ndarray
 
     @property
     def definite(self) -> bool:
-        return is_definite(self.eigenvalues)
+        """Whether the smallest eigenvalue exceeds ``PD_RTOL`` times the largest."""
+        w = self.eigenvalues
+        return bool(w[-1] > 0 and w[0] > PD_RTOL * w[-1])
 
     def power(self, exponent: float) -> np.ndarray:
         """The matrix raised to ``exponent``; definite input for a negative one."""
@@ -98,24 +86,33 @@ def sym_eig(m) -> EigenDecomposition:
     if np.linalg.det(q) < 0:
         q = q.copy()
         q[:, 0] = -q[:, 0]
-    return EigenDecomposition(w, q)
+    return EigenDecomposition(w, q, m)
 
 
-def require_definite(matrix, name: str) -> np.ndarray:
-    """Symmetrized ``matrix``, raising NotPositiveDefinite if it is not definite
-    or if an eigenvalue is beyond the float range."""
-    m = symmetrize(matrix)
-    w = np.linalg.eigvalsh(m)
+def require_definite(dec: EigenDecomposition, name: str) -> EigenDecomposition:
+    """``dec``, raising NotPositiveDefinite if its matrix is not definite or
+    if an eigenvalue is beyond the float range."""
+    w = dec.eigenvalues
     if not np.all(np.isfinite(w)):
         raise NotPositiveDefinite(
             f"{name} has an eigenvalue beyond the float range", eigenvalue=w[-1]
         )
-    if not is_definite(w):
+    if not dec.definite:
         raise NotPositiveDefinite(
             f"{name} must be positive definite (eigenvalue {w[0]:.6e})",
             eigenvalue=w[0],
         )
-    return m
+    return dec
+
+
+def require_semidefinite(dec: EigenDecomposition, name: str) -> EigenDecomposition:
+    """``dec``, raising NotSemidefinite if its matrix has a genuinely negative
+    eigenvalue; negative values within ``PSD_RTOL`` of the largest magnitude
+    are rounding."""
+    w = dec.eigenvalues
+    if not w[0] >= -PSD_RTOL * max(abs(w[0]), abs(w[-1])):
+        raise NotSemidefinite(f"{name} has negative eigenvalue {w[0]:.6e}", eigenvalue=w[0])
+    return dec
 
 
 def symplectic_form(dof: int) -> np.ndarray:

@@ -62,11 +62,12 @@ class Problem:
     potential: QuadraticPotential
     distribution: Distribution
     box: Optional[Tuple[np.ndarray, np.ndarray]]
+    root: str = ""
 
     @property
     def dof(self) -> int:
         if self.dim % 2:
-            raise SchemaError("/dim", "phase-space dimension must be even")
+            raise SchemaError(f"{self.root}/dim", "phase-space dimension must be even")
         return self.dim // 2
 
 
@@ -327,7 +328,7 @@ def parse_problem(obj, base_dir: str = ".", root: str = "") -> Problem:
         if np.any(hi <= lo):
             raise SchemaError(f"{root}/box", "'hi' must exceed 'lo' componentwise")
         box = (lo, hi)
-    return Problem(dim=dim, potential=potential, distribution=distribution, box=box)
+    return Problem(dim=dim, potential=potential, distribution=distribution, box=box, root=root)
 
 
 def load_problem(path: str) -> Problem:

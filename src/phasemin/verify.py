@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
 from .errors import DimensionError, NumericalInstability
-from .linalg import require_definite, sym_eig, symplectic_form
+from .linalg import EigenDecomposition, require_definite, sym_eig, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
 
@@ -130,17 +130,20 @@ class TraceMinimumCheck(NamedTuple):
 
 
 def check_trace_minimum(
-    v, h, trials: int, sampler: SymplecticSampler
+    dec_v: EigenDecomposition,
+    dec_h: EigenDecomposition,
+    trials: int,
+    sampler: SymplecticSampler,
 ) -> TraceMinimumCheck:
-    """Empirical check of min over symplectic S of tr(S V S.T H).
+    """Empirical check of min over symplectic S of tr(S V S.T H) for definite
+    V and H, given as their eigendecompositions.
 
     The claimed minimum is twice the anti-sorted pairing of the symplectic
     spectra.  Counts trials falling below bound - 1e-8*bound; the candidate
     set also includes the constructed optimal map, so min_observed matches
     the bound whenever the construction is right.
     """
-    v = require_definite(v, "V")
-    h = require_definite(h, "H")
+    v, h = dec_v.matrix, dec_h.matrix
     if v.shape != h.shape:
         raise DimensionError(f"shape mismatch: {v.shape} vs {h.shape}")
     if v.shape[0] != 2 * sampler.dof:
@@ -148,7 +151,6 @@ def check_trace_minimum(
             f"sampler produces {2 * sampler.dof}x{2 * sampler.dof} matrices, "
             f"matrices are {v.shape[0]}x{v.shape[0]}"
         )
-    dec_v, dec_h = sym_eig(v), sym_eig(h)
     bound = 2.0 * anti_sorted_pairing(
         symplectic_eigenvalues(dec_v), symplectic_eigenvalues(dec_h)
     )
@@ -167,19 +169,19 @@ def check_trace_minimum(
     return TraceMinimumCheck(min_observed=best, bound=bound, violations=violations)
 
 
-def ellipsoids_equivalent(first, second, tol: float = 1e-8) -> bool:
-    """Whether two definite shape matrices are related by a linear symplectic map.
+def ellipsoids_equivalent(
+    first_spectrum: np.ndarray, second_spectrum: np.ndarray, tol: float = 1e-8
+) -> bool:
+    """Whether two definite shape matrices, given as their descending
+    symplectic spectra, are related by a linear symplectic map.
 
     Two ellipsoids {z: z.T M z <= 1} map onto each other under Sp exactly
     when the symplectic spectra of their shape matrices agree; comparison is
     elementwise within ``tol`` relative.
     """
-    a = require_definite(first, "first shape matrix")
-    b = require_definite(second, "second shape matrix")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    sa = symplectic_eigenvalues(sym_eig(a))
-    sb = symplectic_eigenvalues(sym_eig(b))
+    sa, sb = first_spectrum, second_spectrum
+    if sa.shape != sb.shape:
+        raise DimensionError(f"shape mismatch: {sa.shape} vs {sb.shape}")
     return bool(np.all(np.abs(sa - sb) <= tol * np.maximum(sa, sb)))
 
 
@@ -190,7 +192,7 @@ def ellipsoid_cylinder_energy(shape) -> float:
     shape_(n+1)(n+1)); the two picked entries are the first position and
     first momentum diagonal entries of ``shape``.
     """
-    m = require_definite(shape, "shape matrix")
+    m = require_definite(sym_eig(shape), "shape matrix").matrix
     d = m.shape[0]
     if d % 2:
         raise DimensionError(f"phase-space dimension must be even, got {d}")

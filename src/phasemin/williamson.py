@@ -19,8 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .errors import DimensionError, NotPositiveDefinite, NotSemidefinite, NumericalInstability
-from .linalg import ZERO_CLAMP_RTOL, EigenDecomposition, is_semidefinite, symplectic_form
+from .errors import DimensionError, NumericalInstability
+from .linalg import (
+    ZERO_CLAMP_RTOL, EigenDecomposition, symplectic_form,
+    require_definite, require_semidefinite,
+)
 
 
 def _even_dim(dec: EigenDecomposition) -> int:
@@ -44,11 +47,7 @@ def symplectic_eigenvalues(dec: EigenDecomposition) -> np.ndarray:
     twice.
     """
     n = _even_dim(dec)
-    w = dec.eigenvalues
-    if not is_semidefinite(w):
-        raise NotSemidefinite(
-            f"matrix has negative eigenvalue {w[0]:.6e}", eigenvalue=w[0]
-        )
+    w = require_semidefinite(dec, "matrix").eigenvalues
     root = (dec.basis * np.sqrt(np.clip(w, 0.0, None))) @ dec.basis.T
     j = symplectic_form(n)
     k = root @ j @ root
@@ -90,12 +89,7 @@ def williamson(dec: EigenDecomposition) -> WilliamsonDecomposition:
     gives S = R @ O @ (diag(d)^(1/2) ⊕ diag(d)^(1/2)).
     """
     n = _even_dim(dec)
-    if not dec.definite:
-        low = dec.eigenvalues[0]
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (smallest eigenvalue {low:.6e})", eigenvalue=low
-        )
-    inv_root = dec.power(-0.5)
+    inv_root = require_definite(dec, "matrix").power(-0.5)
     j = symplectic_form(n)
     k = inv_root @ j @ inv_root
     k = (k - k.T) / 2.0

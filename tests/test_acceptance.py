@@ -183,7 +183,7 @@ def test_criterion_3_trace_bound_over_sampled_symplectic_maps(checklist):
         v = random_spd(rng, 2 * dof)
         h = random_spd(rng, 2 * dof)
         sampler = SymplecticSampler(dof, seed=2000 + index)
-        checked = check_trace_minimum(v, h, 10_000, sampler)
+        checked = check_trace_minimum(sym_eig(v), sym_eig(h), 10_000, sampler)
         violations += checked.violations
         pot = QuadraticPotential(0.0, np.zeros(2 * dof), v)
         gap = verify_map_optimality(

@@ -18,6 +18,7 @@ from phasemin.cli import (
     RESTACK_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SWEEP_MAX_POINTS,
+    VERIFY_MAX_DOF,
     main,
 )
 from phasemin.distributions import moment_energy, moments
@@ -129,8 +130,8 @@ def test_bounds_output_file_matches_stdout(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
-def test_bounds_rejects_odd_dimension(tmp_path, capsys):
-    spec = {
+def odd_dimension_problem():
+    return {
         "dim": 3,
         "potential": {"V0": 0.0, "d": [0.0] * 3, "V": np.eye(3).tolist()},
         "distribution": {
@@ -140,7 +141,10 @@ def test_bounds_rejects_odd_dimension(tmp_path, capsys):
             "covariance": np.eye(3).tolist(),
         },
     }
-    path = write_json(tmp_path / "p.json", spec)
+
+
+def test_bounds_rejects_odd_dimension(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", odd_dimension_problem())
     code, _, err = run(capsys, ["bounds", path])
     assert code == EXIT_SCHEMA
     assert "/dim" in err
@@ -297,7 +301,36 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     assert sorted(built) == ["sl_optimal_map", "sp_optimal_map"]
 
 
-def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch):
+# (eigh, eigvalsh) calls per command.  The eigh calls decompose each input
+# matrix once: the covariance or ellipsoid matrix, V and H (each sweep point's
+# V); restack needs no H.  The eigvalsh calls are the Gram spectra of V and H.
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["bounds", "GAUSSIAN"], (3, 2)),
+        (["bounds", "ELLIPSOID"], (3, 2)),
+        (["sweep", "SWEEP"], (7, 10)),
+        (["restack", "GAUSSIAN", "--levels", "0"], (2, 0)),
+        (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2)),
+        (["verify", "ellipsoid", "--first", "[[2.0, 0.0], [0.0, 0.5]]",
+          "--second", "[[1.0, 0.0], [0.0, 1.0]]"], (2, 2)),
+    ],
+    ids=["bounds-gaussian", "bounds-ellipsoid", "sweep", "restack-gaussian",
+         "verify-theorem", "verify-ellipsoid"],
+)
+def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, counts):
+    gaussian = {**gaussian_problem(0.5), "box": {"lo": [-2.0] * 4, "hi": [2.0] * 4}}
+    ellipsoid = gaussian_problem(0.5)
+    ellipsoid["distribution"] = {
+        "type": "ellipsoid",
+        "matrix": gaussian["distribution"]["covariance"],
+        "center": [0.0] * 4,
+    }
+    files = {
+        "GAUSSIAN": write_json(tmp_path / "g.json", gaussian),
+        "ELLIPSOID": write_json(tmp_path / "e.json", ellipsoid),
+        "SWEEP": write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5)),
+    }
     calls = []
     for name in ("eigh", "eigvalsh"):
 
@@ -306,16 +339,8 @@ def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch):
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    # bounds: one eigh each for V and H; the eigvalsh calls are the reader's
-    # covariance check and the Gram spectra of V and H
-    problem = write_json(tmp_path / "p.json", gaussian_problem(0.5))
-    assert run(capsys, ["bounds", problem])[0] == EXIT_OK
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 3)
-    # a sweep decomposes H once and each point's V once
-    calls.clear()
-    sweep = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
-    assert run(capsys, ["sweep", sweep])[0] == EXIT_OK
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == (6, 11)
+    assert run(capsys, [files.get(a, a) for a in argv])[0] == EXIT_OK
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == counts
 
 
 def test_sweep_log_spacing(tmp_path, capsys):
@@ -590,6 +615,33 @@ def test_verify_nonsqueeze_finds_no_squeezing(capsys):
     payload = json.loads(out)
     assert payload["successes"] == 0
     assert payload["min_energy_seen"] >= math.pi / 2.0 - 1e-9
+
+
+def identity_problem(dof):
+    eye = np.eye(2 * dof).tolist()
+    return {
+        "n": dof,
+        "potential": {"V0": 0.0, "d": [0.0] * (2 * dof), "V": eye},
+        "distribution": {
+            "type": "gaussian", "weight": 1.0, "mean": [0.0] * (2 * dof), "covariance": eye,
+        },
+    }
+
+
+@pytest.mark.parametrize("kind, pointer", [("nonsqueeze", "/dof"), ("theorem", "/dim")])
+@pytest.mark.parametrize("dof", [VERIFY_MAX_DOF, VERIFY_MAX_DOF + 1], ids=["cap", "cap+1"])
+def test_verify_caps_the_sampler_degrees_of_freedom(tmp_path, capsys, kind, pointer, dof):
+    problem = write_json(tmp_path / "p.json", identity_problem(dof))
+    source = ["--dof", str(dof)] if kind == "nonsqueeze" else ["--problem", problem]
+    code, out, err = run(capsys, ["verify", kind, "--trials", "1"] + source)
+    if dof <= VERIFY_MAX_DOF:
+        assert code == EXIT_OK
+        return
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == (
+        f"resource cap: {pointer}: the sampler needs {dof} degrees of freedom, "
+        f"exceeding the cap of {VERIFY_MAX_DOF}\n"
+    )
 
 
 def test_verify_ellipsoid_equivalence_inline(capsys):
@@ -885,6 +937,7 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         (["sweep"], sweep_with(start=True), "/range/start"),
         (["sweep"], sweep_with(start="0.5"), "/range/start"),
         (["sweep"], sweep_with(n=0), "/template/n"),
+        (["sweep"], sweep_of(odd_dimension_problem()), "/template/dim"),
         (["sweep"], sweep_with(distribution={"type": "cube"}),
          "/template/distribution/type"),
         # pointers of errors inside a named grid file point into that file
@@ -907,6 +960,7 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         "sweep-boolean-start",
         "sweep-string-number-start",
         "sweep-template-size",
+        "sweep-template-odd-dimension",
         "sweep-template-distribution",
         "sweep-template-grid-file",
         "restack-zero-base-spacing",

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from phasemin.errors import DimensionError
+from phasemin.errors import DimensionError, NotPositiveDefinite, NotSemidefinite
 from phasemin.linalg import (
     as_square,
+    require_definite,
+    require_semidefinite,
     sym_eig,
     symmetrize,
     symplectic_form,
@@ -78,6 +80,20 @@ def test_eigen_decomposition_definite_follows_the_tolerance():
     assert not sym_eig(np.diag([1.0, -1.0])).definite
     assert not sym_eig(np.diag([1.0, 1e-13])).definite
     assert sym_eig(np.diag([1.0, 1e-11])).definite
+
+
+def test_definiteness_checks_read_the_decomposition_and_run_no_eigensolver(monkeypatch):
+    spd, singular, rounding, negative = (
+        sym_eig(np.diag(d)) for d in ([1.0, 2.0], [1.0, 0.0], [1.0, -1e-13], [1.0, -1e-11])
+    )
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, None)
+    assert require_definite(spd, "M") is spd
+    with pytest.raises(NotPositiveDefinite, match=r"^M must be positive definite \(eigenvalue 0"):
+        require_definite(singular, "M")
+    assert require_semidefinite(rounding, "M") is rounding
+    with pytest.raises(NotSemidefinite, match="^M has negative eigenvalue -1.0"):
+        require_semidefinite(negative, "M")
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])
