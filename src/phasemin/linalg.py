@@ -71,10 +71,6 @@ class EigenDecomposition:
         w = self.eigenvalues
         return bool(w[-1] > 0 and w[0] > PD_RTOL * w[-1])
 
-    def power(self, exponent: float) -> np.ndarray:
-        """The matrix raised to ``exponent``; definite input for a negative one."""
-        return (self.basis * self.eigenvalues**exponent) @ self.basis.T
-
 
 def sym_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix with a det +1 basis."""
@@ -122,9 +118,7 @@ def symplectic_form(dof: int) -> np.ndarray:
     """
     if dof < 1:
         raise DimensionError(f"degrees of freedom must be positive, got {dof}")
-    zero = np.zeros((dof, dof))
-    eye = np.eye(dof)
-    return np.block([[zero, eye], [-eye, zero]])
+    return np.eye(2 * dof, k=dof) - np.eye(2 * dof, k=-dof)
 
 
 def symplectic_residual(a) -> float:

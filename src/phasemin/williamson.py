@@ -5,11 +5,14 @@ Any symmetric positive definite M of even dimension 2n can be written as
 symplectic eigenvalues of M, i.e. the numbers d_k such that ±i·d_k are the
 eigenvalues of J @ M.
 
-Both routines below stay on real orthogonal reductions of skew-symmetric
-matrices; no general nonsymmetric eigensolver is involved.  The symplectic
-basis S is not unique (each eigenvalue pair carries a rotation freedom and
-degenerate eigenvalues an orthogonal mixing freedom); correctness is defined
-by the reconstruction identities, not by a canonical S.
+Both routines reduce M to a skew-symmetric kernel and use only symmetric or
+Hermitian eigensolvers: the spectrum reads the symmetric Gram matrix of the
+kernel, and the normal form reads the Hermitian i·K of a Cholesky kernel K,
+which is nonsingular because M is definite (:func:`schur` needs that).  The
+symplectic basis S is not unique (each eigenvalue pair carries a rotation
+freedom and degenerate eigenvalues an orthogonal mixing freedom);
+correctness is defined by the reconstruction identities, not by a canonical
+S.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DimensionError, NumericalInstability
 from .linalg import (
@@ -77,48 +79,41 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.spectrum, self.spectrum]))
 
 
+def schur(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Schur form of a nonsingular skew-symmetric k of side 2n.
+
+    Returns ``(b, z)`` with the n values b_1 <= ... <= b_n > 0 and z
+    orthogonal, ``z.T @ k @ z = [[0, diag b], [-diag b, 0]]``.
+
+    The Hermitian i·k has the eigenvalues ±b_k.  An eigenvector u + i·v of
+    +b_k has |u| = |v| = 1/√2 and u ⊥ v, and k u = b_k v, k v = -b_k u, so
+    √2·v and √2·u are the k-th position and momentum columns of z.  The
+    eigenvectors of a repeated b_k are orthonormal in the complex sense and
+    orthogonal to their conjugates, so their real columns stay orthonormal.
+    A zero eigenvalue breaks that pairing, hence the nonsingular input.
+    """
+    n = k.shape[0] // 2
+    try:
+        b, w = np.linalg.eigh(1j * k)
+    except np.linalg.LinAlgError as err:
+        raise NumericalInstability(f"Hermitian eigensolver did not converge: {err}") from None
+    w = np.sqrt(2.0) * w[:, n:]
+    return b[n:], np.concatenate([w.imag, w.real], axis=1)
+
+
 def williamson(dec: EigenDecomposition) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive definite matrix m,
     given as its eigendecomposition ``dec``.
 
-    Construction: with R = m^(-1/2), the matrix K = R @ J @ R is
-    skew-symmetric, and its real Schur form is block diagonal with 2x2
-    blocks [[0, b], [-b, 0]], b = 1/d for each symplectic eigenvalue d.
-    Reordering the Schur basis into (x..., p...) layout with the sign of
-    each pair fixed so the upper-right block of O.T @ K @ O is positive
-    gives S = R @ O @ (diag(d)^(1/2) ⊕ diag(d)^(1/2)).
+    Construction: with m = L @ L.T (Cholesky), the kernel K = L^-1 @ J @ L^-T
+    is skew-symmetric and nonsingular, and its Schur values are b = 1/d for
+    the symplectic eigenvalues d.  With ``b, z = schur(K)``, ascending b
+    gives descending d, and S = L^-T @ z @ (diag(d)^(1/2) ⊕ diag(d)^(1/2)).
     """
     n = _even_dim(dec)
-    inv_root = require_definite(dec, "matrix").power(-0.5)
-    j = symplectic_form(n)
-    k = inv_root @ j @ inv_root
-    k = (k - k.T) / 2.0
-    try:
-        t, z = schur(k)
-    except np.linalg.LinAlgError as err:
-        raise NumericalInstability(f"real Schur form did not converge: {err}") from None
-
-    pair_cols = []
-    b = np.empty(n)
-    for i in range(n):
-        top, lead = 2 * i, 2 * i + 1
-        b[i] = (t[top, lead] - t[lead, top]) / 2.0
-        u, v = z[:, top], z[:, lead]
-        if b[i] < 0:
-            u, v, b[i] = v, u, -b[i]
-        pair_cols.append((u, v))
-    if np.any(b <= 0):
-        raise NumericalInstability(
-            "Schur form of the skew-symmetric kernel has a degenerate block"
-        )
-
+    inv_lower = np.linalg.inv(np.linalg.cholesky(require_definite(dec, "matrix").matrix))
+    k = inv_lower @ symplectic_form(n) @ inv_lower.T
+    b, z = schur((k - k.T) / 2.0)
     spectrum = 1.0 / b
-    order = np.argsort(-spectrum, kind="stable")
-    spectrum = spectrum[order]
-    basis = np.stack(
-        [pair_cols[i][0] for i in order] + [pair_cols[i][1] for i in order],
-        axis=1,
-    )
     stretch = np.sqrt(np.concatenate([spectrum, spectrum]))
-    transform = (inv_root @ basis) * stretch
-    return WilliamsonDecomposition(spectrum=spectrum, transform=transform)
+    return WilliamsonDecomposition(spectrum=spectrum, transform=(inv_lower.T @ z) * stretch)

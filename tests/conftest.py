@@ -5,6 +5,16 @@ import numpy as np
 from phasemin.distributions import Moments
 from phasemin.verify import SymplecticSampler
 
+# cond 4.2 and symplectic spectrum (1, 1); scipy's real Schur form of the
+# Williamson kernel did not converge on it, so it pins the normal form on a
+# repeated spectrum
+SCHUR_FAILURE_COVARIANCE = [
+    [1.531094409656899, 0.4420862406392282, -0.2119969701621644, -0.2003415911331863],
+    [0.4420862406392282, 1.4606856362856044, -0.21991165786485992, -0.11231183770317281],
+    [-0.2119969701621644, -0.21991165786485992, 0.7639157263248875, -0.18237828688158905],
+    [-0.2003415911331863, -0.11231183770317281, -0.18237828688158905, 0.7786058158601474],
+]
+
 
 def random_spd(rng, dim, spread=2.0):
     """Random symmetric positive definite matrix with eigenvalues in

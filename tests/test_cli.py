@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import SCHUR_FAILURE_COVARIANCE
 import phasemin.cli
 import phasemin.energy
 from phasemin.cli import (
@@ -14,7 +15,6 @@ from phasemin.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SCHEMA,
-    EXIT_VERIFY_FAILED,
     RESTACK_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SWEEP_MAX_POINTS,
@@ -150,22 +150,17 @@ def test_bounds_rejects_odd_dimension(tmp_path, capsys):
     assert "/dim" in err
 
 
-# cond 4.2 and symplectic spectrum (1, 1); scipy's real Schur form of the
-# williamson kernel does not converge on it
-SCHUR_FAILURE_COVARIANCE = [
-    [1.531094409656899, 0.4420862406392282, -0.2119969701621644, -0.2003415911331863],
-    [0.4420862406392282, 1.4606856362856044, -0.21991165786485992, -0.11231183770317281],
-    [-0.2119969701621644, -0.21991165786485992, 0.7639157263248875, -0.18237828688158905],
-    [-0.2003415911331863, -0.11231183770317281, -0.18237828688158905, 0.7786058158601474],
-]
-
-
-def test_bounds_reports_a_schur_failure_in_one_line(tmp_path, capsys):
+def test_bounds_answers_the_input_that_failed_the_schur_form(tmp_path, capsys):
     spec = gaussian_problem(1.0)
     spec["distribution"]["covariance"] = SCHUR_FAILURE_COVARIANCE
-    code, out, err = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
-    assert (code, out) == (EXIT_VERIFY_FAILED, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, ["bounds", write_json(tmp_path / "p.json", spec)])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    # V = I and H have the symplectic spectra (1, 1) and (1, 1): both bounds are 4
+    for group in ("sl", "sp"):
+        assert payload[group]["energy"] == pytest.approx(4.0, rel=1e-12)
+    assert payload["sp"]["optimality_gap"] <= 1e-12 * payload["sp"]["energy"]
+    assert symplectic_residual(np.array(payload["sp"]["map"]["matrix"])) <= 1e-12
 
 
 def test_missing_problem_file_is_an_io_error(tmp_path, capsys):
@@ -301,19 +296,21 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     assert sorted(built) == ["sl_optimal_map", "sp_optimal_map"]
 
 
-# (eigh, eigvalsh) calls per command.  The eigh calls decompose each input
-# matrix once: the covariance or ellipsoid matrix, V and H (each sweep point's
-# V); restack needs no H.  The eigvalsh calls are the Gram spectra of V and H.
+# (eigh, eigvalsh, complex eigh) calls per command.  The real eigh calls
+# decompose each input matrix once: the covariance or ellipsoid matrix, V and H
+# (each sweep point's V); restack needs no H.  The eigvalsh calls are the Gram
+# spectra of V and H.  The complex eigh calls are the Hermitian kernels of the
+# two Williamson transforms that the Sp map is built from.
 @pytest.mark.parametrize(
     "argv, counts",
     [
-        (["bounds", "GAUSSIAN"], (3, 2)),
-        (["bounds", "ELLIPSOID"], (3, 2)),
-        (["sweep", "SWEEP"], (7, 10)),
-        (["restack", "GAUSSIAN", "--levels", "0"], (2, 0)),
-        (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2)),
+        (["bounds", "GAUSSIAN"], (3, 2, 2)),
+        (["bounds", "ELLIPSOID"], (3, 2, 2)),
+        (["sweep", "SWEEP"], (7, 10, 0)),
+        (["restack", "GAUSSIAN", "--levels", "0"], (2, 0, 0)),
+        (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2, 2)),
         (["verify", "ellipsoid", "--first", "[[2.0, 0.0], [0.0, 0.5]]",
-          "--second", "[[1.0, 0.0], [0.0, 1.0]]"], (2, 2)),
+          "--second", "[[1.0, 0.0], [0.0, 1.0]]"], (2, 2, 0)),
     ],
     ids=["bounds-gaussian", "bounds-ellipsoid", "sweep", "restack-gaussian",
          "verify-theorem", "verify-ellipsoid"],
@@ -334,13 +331,14 @@ def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, cou
     calls = []
     for name in ("eigh", "eigvalsh"):
 
-        def counting(*args, name=name, solve=getattr(np.linalg, name), **kwargs):
-            calls.append(name)
-            return solve(*args, **kwargs)
+        def counting(a, *args, name=name, solve=getattr(np.linalg, name), **kwargs):
+            calls.append(name if np.isrealobj(a) else "complex " + name)
+            return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     assert run(capsys, [files.get(a, a) for a in argv])[0] == EXIT_OK
-    assert (calls.count("eigh"), calls.count("eigvalsh")) == counts
+    assert tuple(map(calls.count, ("eigh", "eigvalsh", "complex eigh"))) == counts
+    assert len(calls) == sum(counts)
 
 
 def test_sweep_log_spacing(tmp_path, capsys):

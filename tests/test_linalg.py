@@ -63,18 +63,6 @@ def test_sym_eig_handles_indefinite_input():
     np.testing.assert_allclose(dec.eigenvalues, [-2.0, 3.0])
 
 
-def test_eigen_decomposition_power_partial_and_inverse():
-    rng = np.random.default_rng(7)
-    m = random_spd(rng, 5)
-    dec = sym_eig(m)
-    assert dec.definite
-    root = dec.power(0.5)
-    np.testing.assert_allclose(root @ root, m, atol=1e-12)
-    inv_root = dec.power(-0.5)
-    np.testing.assert_allclose(inv_root @ m @ inv_root, np.eye(5), atol=1e-11)
-    np.testing.assert_allclose(dec.power(-1.0) @ m, np.eye(5), atol=1e-11)
-
-
 def test_eigen_decomposition_definite_follows_the_tolerance():
     assert not sym_eig(np.diag([1.0, 0.0])).definite
     assert not sym_eig(np.diag([1.0, -1.0])).definite

@@ -3,6 +3,8 @@ names the benchmark imports from it, and the benchmark's tracer finds every
 name it wraps."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -34,6 +36,17 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert np.linalg.eigh is eigh
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the CLI loads
+    import phasemin
+
+    probe = "import sys, phasemin.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = {**os.environ, "PYTHONPATH": str(Path(phasemin.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert run.stdout == "[]\n"
 
 
 def test_package_keeps_the_names_bench_reference_imports():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import paired_spectrum_synthesis, random_spd
+from conftest import SCHUR_FAILURE_COVARIANCE, paired_spectrum_synthesis, random_spd
 from phasemin.errors import NotPositiveDefinite, NotSemidefinite
 from phasemin.linalg import sym_eig, symplectic_form, symplectic_residual
 from phasemin.verify import SymplecticSampler
-from phasemin.williamson import symplectic_eigenvalues, williamson
+from phasemin.williamson import schur, symplectic_eigenvalues, williamson
 
 
 def diagonal_case_spectrum(entries):
@@ -48,6 +50,49 @@ def test_decomposition_reconstructs_random_matrices():
         np.testing.assert_allclose(
             np.prod(dec.spectrum) ** 2, np.linalg.det(m), rtol=1e-8
         )
+
+
+@pytest.mark.parametrize(
+    "matrix, spectrum",
+    [
+        (SCHUR_FAILURE_COVARIANCE, [1.0, 1.0]),
+        (paired_spectrum_synthesis(seed=9, dof=3, spectrum=[2.0, 2.0, 0.5]), [2.0, 2.0, 0.5]),
+    ],
+    ids=["schur-failure-covariance", "repeated-pair"],
+)
+def test_normal_form_of_repeated_spectra(matrix, spectrum):
+    m = np.asarray(matrix)
+    dec = williamson(sym_eig(m))
+    s = dec.transform
+    np.testing.assert_allclose(dec.spectrum, spectrum, rtol=1e-12)
+    assert symplectic_residual(s) <= 1e-12
+    np.testing.assert_allclose(s.T @ m @ s, dec.block_diagonal, atol=1e-12 * np.abs(m).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dof=st.integers(1, 6),
+    distinct=st.integers(1, 6),
+    log_spread=st.floats(0.0, 6.0),
+    log_scale=st.floats(-8.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schur_gives_an_orthogonal_block_form(dof, distinct, log_spread, log_scale, seed):
+    # fewer distinct values than pairs repeats some of them
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** (log_scale + rng.uniform(0.0, log_spread, size=min(distinct, dof)))
+    b = values[rng.integers(0, values.size, size=dof)]
+    q, _ = np.linalg.qr(rng.normal(size=(2 * dof, 2 * dof)))
+    zero = np.zeros((dof, dof))
+    k = q @ np.block([[zero, np.diag(b)], [-np.diag(b), zero]]) @ q.T
+    k = (k - k.T) / 2.0
+    norm = np.linalg.norm(k, 2)
+    got, z = schur(k)
+    assert np.all(np.diff(got) >= 0)
+    np.testing.assert_allclose(got, np.sort(b), rtol=0, atol=1e-12 * norm)
+    np.testing.assert_allclose(z.T @ z, np.eye(2 * dof), rtol=0, atol=1e-12)
+    block = np.block([[zero, np.diag(got)], [-np.diag(got), zero]])
+    np.testing.assert_allclose(z.T @ k @ z, block, rtol=0, atol=1e-12 * norm)
 
 
 def test_spectrum_routes_agree():
