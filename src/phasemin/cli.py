@@ -313,8 +313,8 @@ def _restack_box(problem: Problem):
     if isinstance(f, BallIndicator):
         return (f.center - f.radius, f.center + f.radius)
     if isinstance(f, EllipsoidIndicator):
-        # the half-width of {z.T M z <= 1} along axis k is sqrt((M^-1)_kk)
-        half_width = np.sqrt(np.diag(np.linalg.inv(f.matrix)))
+        # half-width of {z.T M z <= 1} along k: sqrt((M^-1)_kk) = sqrt(sum_j Q_kj^2 / w_j)
+        half_width = np.sqrt(f.decomposition.basis**2 @ (1 / f.decomposition.eigenvalues))
         return (f.center - half_width, f.center + half_width)
     raise SchemaError(
         "/box", "this distribution type needs an explicit bounding box"

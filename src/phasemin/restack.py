@@ -89,10 +89,6 @@ class RestackProblem:
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float).reshape(-1))
 
     @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
     def spacing(self) -> float:
         return math.ldexp(self.base_spacing, -self.level)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
-from .errors import DimensionError, NumericalInstability
+from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
 from .linalg import EigenDecomposition, require_definite, sym_eig, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
@@ -51,11 +51,6 @@ def expm_batch(mats) -> np.ndarray:
     for the sampler is certified downstream by the symplecticity residual.
     """
     a = np.asarray(mats, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expected a stack of square matrices, got {a.shape}")
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
     squarings = np.zeros(a.shape[0], dtype=int)
     above = norms > _PADE13_THETA
@@ -85,7 +80,7 @@ def expm_batch(mats) -> np.ndarray:
     for step in range(int(squarings.max(initial=0))):
         mask = squarings > step
         out[mask] = out[mask] @ out[mask]
-    return out[0] if single else out
+    return out
 
 
 class SymplecticSampler:
@@ -93,15 +88,14 @@ class SymplecticSampler:
 
     Generator entries are uniform on [-scale, scale] before symmetrizing;
     scale 0 yields identity matrices.  The stream depends only on (dof,
-    seed, scale), and batch draws consume the stream exactly as repeated
-    single draws do.
+    seed, scale), and a batch of k consumes it exactly as k batches of one
+    do.
     """
 
     def __init__(self, dof: int, seed: int, scale: float = 1.0):
         self.dof = int(dof)
-        self.seed = int(seed)
         self.scale = float(scale)
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(int(seed))
         self._form = symplectic_form(self.dof)
 
     def sample_batch(self, count: int) -> np.ndarray:
@@ -117,10 +111,6 @@ class SymplecticSampler:
                 f"sampled matrix failed the symplecticity check ({worst:.3e})"
             )
         return out
-
-    def sample(self) -> np.ndarray:
-        """The next single sample."""
-        return self.sample_batch(1)[0]
 
 
 class TraceMinimumCheck(NamedTuple):
@@ -158,14 +148,11 @@ def check_trace_minimum(
     candidate = sp_optimal_map(dec_v, dec_h).T
     best = float(np.trace(candidate @ v @ candidate.T @ h))
     violations = int(best < bound - 1e-8 * bound)
-    remaining = int(trials)
-    while remaining > 0:
-        take = min(BATCH, remaining)
-        s = sampler.sample_batch(take)
+    for start in range(0, int(trials), BATCH):
+        s = sampler.sample_batch(min(BATCH, int(trials) - start))
         values = np.einsum("tia,ab,tcb,ci->t", s, v, s, h, optimize=True)
         best = min(best, float(values.min()))
         violations += int((values < bound - 1e-8 * bound).sum())
-        remaining -= take
     return TraceMinimumCheck(min_observed=best, bound=bound, violations=violations)
 
 
@@ -235,20 +222,18 @@ def nonsqueeze_search(
     cylinder-energy integral seen over the images, which can never drop
     below the ball's own value.
     """
-    d = 2 * sampler.dof
     n = sampler.dof
+    r2 = ball_radius**2
+    if not r2 > 0:
+        raise NotPositiveDefinite(f"ball radius squared must be positive, got {r2}", r2)
     limit = cylinder_radius**2 * (1 + 1e-12)
     successes = 0
-    min_energy = float(
-        ellipsoid_cylinder_energy(ball_radius**2 * np.eye(d))
-    )  # identity map image; sampled images can only tie or exceed
-    remaining = int(trials)
-    while remaining > 0:
-        take = min(BATCH, remaining)
-        a = sampler.sample_batch(take)
-        shapes = ball_radius**2 * (a @ a.transpose(0, 2, 1))
+    # identity map image; sampled images can only tie or exceed
+    min_energy = float(_cylinder_energy(r2 * np.eye(2 * n), n))
+    for start in range(0, int(trials), BATCH):
+        a = sampler.sample_batch(min(BATCH, int(trials) - start))
+        shapes = r2 * (a @ a.transpose(0, 2, 1))
         successes += int((_cylinder_block_top(shapes, n) <= limit).sum())
         energies = _cylinder_energy(shapes, n)
         min_energy = min(min_energy, float(energies.min()))
-        remaining -= take
     return NonsqueezeSearch(successes=successes, min_energy_seen=min_energy)

@@ -57,6 +57,6 @@ def paired_spectrum_synthesis(seed, dof, spectrum):
     gives M = W.T D W whose symplectic eigenvalues are exactly ``spectrum``.
     """
     spectrum = np.asarray(spectrum, dtype=float)
-    w = SymplecticSampler(dof, seed=seed, scale=0.6).sample()
+    w = SymplecticSampler(dof, seed=seed, scale=0.6).sample_batch(1)[0]
     d = np.diag(np.concatenate([spectrum, spectrum]))
     return w.T @ d @ w

@@ -15,6 +15,7 @@ from phasemin.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_SCHEMA,
+    EXIT_VERIFY_FAILED,
     RESTACK_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SWEEP_MAX_POINTS,
@@ -141,6 +142,39 @@ def odd_dimension_problem():
             "covariance": np.eye(3).tolist(),
         },
     }
+
+
+def zero_potential(spec):
+    spec["potential"] = {"V0": 0.0, "d": [0.0] * 4, "V": np.zeros((4, 4)).tolist()}
+    return spec
+
+
+def test_zero_initial_energy_has_no_fraction(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json", zero_potential(gaussian_problem(1.0)))
+    code, out, _ = run(capsys, ["bounds", path])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["initial_energy"] == 0.0
+    assert payload["sl"]["fraction"] is None
+    assert payload["sp"]["fraction"] is None
+    spec = sweep_spec(0.5, 1.5, 3)
+    zero_potential(spec["template"])["potential"]["V"][1][1] = "0*epsilon"
+    code, out, _ = run(capsys, ["sweep", write_json(tmp_path / "s.json", spec)])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert all(row[4:] == ["nan", "nan"] for row in rows)
+
+
+def test_a_solver_that_does_not_converge_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
+    def diverging(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverging)
+    path = write_json(tmp_path / "p.json", gaussian_problem(0.5))
+    code, out, err = run(capsys, ["bounds", path])
+    assert (code, out) == (EXIT_VERIFY_FAILED, "")
+    assert err == "error: symmetric eigensolver did not converge: Eigenvalues did not converge\n"
 
 
 def test_bounds_rejects_odd_dimension(tmp_path, capsys):
@@ -311,9 +345,10 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
         (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2, 2)),
         (["verify", "ellipsoid", "--first", "[[2.0, 0.0], [0.0, 0.5]]",
           "--second", "[[1.0, 0.0], [0.0, 1.0]]"], (2, 2, 0)),
+        (["verify", "nonsqueeze", "--dof", "2", "--trials", "10"], (0, 0, 0)),
     ],
     ids=["bounds-gaussian", "bounds-ellipsoid", "sweep", "restack-gaussian",
-         "verify-theorem", "verify-ellipsoid"],
+         "verify-theorem", "verify-ellipsoid", "verify-nonsqueeze"],
 )
 def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, counts):
     gaussian = {**gaussian_problem(0.5), "box": {"lo": [-2.0] * 4, "hi": [2.0] * 4}}
@@ -450,6 +485,27 @@ def test_restack_grid_problem_uses_its_native_box(tmp_path, capsys):
     tokens = out.strip().split("\n")[1].split(",")
     assert int(tokens[2]) == 8
     assert float(tokens[3]) == pytest.approx(lattice_law(2), rel=1e-12)
+
+
+def test_restack_ellipsoid_without_a_box_uses_its_bounding_box(tmp_path, capsys):
+    spec = {
+        "dim": 2,
+        "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]},
+        "distribution": {
+            "type": "ellipsoid", "matrix": [[4.0, 1.0], [1.0, 2.0]], "center": [0.5, -0.2],
+        },
+    }
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, _ = run(capsys, ["restack", path, "--levels", "0,2,4", "--base-spacing", "0.5"])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    # half-widths sqrt(diag(M^-1)) = (sqrt(2/7), sqrt(4/7)) around the centre
+    assert [int(row[2]) for row in rows] == [12, 117, 1715]
+    np.testing.assert_allclose(
+        [float(row[3]) for row in rows],
+        [0.47980313506456707, 0.45422655165036757, 0.44672314724875295],
+        rtol=1e-12,
+    )
 
 
 def test_restack_honors_the_cell_cap_environment(tmp_path, capsys, monkeypatch):
@@ -743,6 +799,9 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
         (["nonsqueeze", "--cylinder-radius", "0"], "/cylinder-radius"),
         (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
+        # the radius is positive; its square underflows to zero
+        (["nonsqueeze", "--ball-radius", "1e-200", "--cylinder-radius", "1e-201"],
+         "/ball-radius"),
         (["theorem", "--problem", "SEMIDEFINITE"], "/potential/V"),
         (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2, "--tol", "-1"],
          "/tol"),
@@ -772,6 +831,7 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         "nonsqueeze-cylinder-wider-than-ball",
         "nonsqueeze-zero-cylinder",
         "nonsqueeze-infinite-ball",
+        "nonsqueeze-ball-radius-squares-to-zero",
         "theorem-semidefinite-potential",
         "ellipsoid-negative-tol",
         "ellipsoid-nan-tol",
@@ -944,6 +1004,14 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         (["restack", "--levels", "0", "--base-spacing", "0"],
          uniform_interval_problem(), "/base-spacing"),
         (["restack", "--levels", "-1"], uniform_interval_problem(), "/levels"),
+        (["sweep"], [sweep_with()], "/"),
+        (["sweep"], {**sweep_with(), "template": []}, "/template"),
+        (["sweep"], {**sweep_with(), "range": 3}, "/range"),
+        (["sweep"], sweep_spec(0.5, 1.5, 3, spacing="cubic"), "/range/spacing"),
+        (["sweep"], sweep_with(potential={"V0": 0.0, "d": [0.0] * 4}),
+         "/template/potential/V"),
+        (["sweep"], sweep_with(potential={"V0": 0.0, "d": [0.0] * 4, "V": [[1.0] * 4, 1.0]}),
+         "/template/potential/V/1"),
     ],
     ids=[
         "sweep-division-by-zero",
@@ -963,6 +1031,12 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         "sweep-template-grid-file",
         "restack-zero-base-spacing",
         "restack-negative-level",
+        "sweep-file-holds-a-list",
+        "sweep-template-not-an-object",
+        "sweep-range-not-an-object",
+        "sweep-unknown-spacing",
+        "sweep-potential-without-V",
+        "sweep-V-row-not-a-list",
     ],
 )
 def test_sweep_and_restack_reject_inputs_outside_the_contract(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as dense_expm
 
+import phasemin.verify
 from conftest import random_spd
 from phasemin.distributions import BallIndicator, QuadraticPotential, moments
 from phasemin.energy import linear_gromov_energy
@@ -28,7 +29,7 @@ def test_expm_batch_matches_dense_reference():
         scale = float(rng.uniform(0.1, 4.0))
         a = rng.normal(size=(dim, dim)) * scale
         expected = dense_expm(a)
-        got = expm_batch(a)
+        got = expm_batch(a[None])[0]
         np.testing.assert_allclose(
             got, expected, rtol=1e-11, atol=1e-11 * np.abs(expected).max()
         )
@@ -39,13 +40,13 @@ def test_expm_batch_stack_and_single_agree():
     stack = rng.normal(size=(7, 4, 4))
     batched = expm_batch(stack)
     for k in range(7):
-        np.testing.assert_allclose(batched[k], expm_batch(stack[k]), rtol=1e-13)
+        np.testing.assert_array_equal(batched[k], expm_batch(stack[k : k + 1])[0])
 
 
 def test_expm_batch_closed_forms():
-    np.testing.assert_allclose(expm_batch(np.zeros((3, 3))), np.eye(3))
+    np.testing.assert_allclose(expm_batch(np.zeros((1, 3, 3)))[0], np.eye(3))
     w = 0.7
-    rotation = expm_batch(symplectic_form(1) * w)
+    rotation = expm_batch(symplectic_form(1)[None] * w)[0]
     expected = np.array(
         [[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]]
     )
@@ -55,14 +56,10 @@ def test_expm_batch_closed_forms():
 def test_expm_batch_large_norm_uses_squaring():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5)) * 8.0
+    expected = dense_expm(a)
     np.testing.assert_allclose(
-        expm_batch(a), dense_expm(a), rtol=1e-9, atol=1e-9 * np.abs(dense_expm(a)).max()
+        expm_batch(a[None])[0], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
     )
-
-
-def test_expm_batch_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        expm_batch(np.ones((3, 2)))
 
 
 def test_sampler_stream_is_reproducible():
@@ -76,7 +73,7 @@ def test_sampler_stream_is_reproducible():
 def test_sampler_batch_equals_repeated_singles():
     batch = SymplecticSampler(3, seed=7).sample_batch(6)
     one_by_one = SymplecticSampler(3, seed=7)
-    singles = np.stack([one_by_one.sample() for _ in range(6)])
+    singles = np.stack([one_by_one.sample_batch(1)[0] for _ in range(6)])
     np.testing.assert_array_equal(batch, singles)
 
 
@@ -99,8 +96,8 @@ def test_sampler_validation():
 
 def test_sample_symplectic_advances_the_stream():
     sampler = SymplecticSampler(1, seed=4)
-    a = sampler.sample()
-    b = sampler.sample()
+    a = sampler.sample_batch(1)[0]
+    b = sampler.sample_batch(1)[0]
     assert symplectic_residual(a) <= 1e-8
     assert np.abs(a - b).max() > 1e-6
 
@@ -127,6 +124,37 @@ def test_trace_minimum_random_instances():
         )
         assert result.violations == 0
         assert result.min_observed >= result.bound * (1 - 1e-8)
+
+
+def counted_sampler(dof, seed, drawn):
+    """A sampler that appends the size of each batch it draws to ``drawn``."""
+    sampler = SymplecticSampler(dof, seed=seed)
+    draw = sampler.sample_batch
+
+    def sample_batch(count):
+        drawn.append(count)
+        return draw(count)
+
+    sampler.sample_batch = sample_batch
+    return sampler
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_searches_do_not_depend_on_the_batch_size(monkeypatch, dof):
+    rng = np.random.default_rng(dof)
+    dec_v = sym_eig(random_spd(rng, 2 * dof))
+    dec_h = sym_eig(random_spd(rng, 2 * dof))
+    results = set()
+    for batch in (7, 1000, 4096):
+        monkeypatch.setattr(phasemin.verify, "BATCH", batch)
+        drawn = []
+        trace = check_trace_minimum(dec_v, dec_h, 5000, counted_sampler(dof, dof, drawn))
+        squeeze = nonsqueeze_search(1.0, 0.99, 5000, counted_sampler(dof, dof, drawn))
+        results.add((trace, squeeze))
+        # whole batches, then the remainder, for each search
+        batches = [batch] * (5000 // batch) + [5000 % batch] * (5000 % batch > 0)
+        assert drawn == batches + batches
+    assert len(results) == 1
 
 
 def test_trace_minimum_validation():

@@ -110,7 +110,7 @@ def test_spectrum_invariant_under_symplectic_congruence():
     sampler = SymplecticSampler(2, seed=12)
     for trial in range(40):
         m = random_spd(rng, 4)
-        t = sampler.sample()
+        t = sampler.sample_batch(1)[0]
         np.testing.assert_allclose(
             symplectic_eigenvalues(sym_eig(t.T @ m @ t)),
             symplectic_eigenvalues(sym_eig(m)),
