@@ -21,9 +21,11 @@ import argparse
 import ast
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 
@@ -32,14 +34,19 @@ from .distributions import (
     EllipsoidIndicator,
     Grid,
     Particles,
+    QuadraticPotential,
     density,
     moment_energy,
     moments,
 )
 from .energy import (
+    MomentSpectra,
+    inaccessible_fraction,
     linear_gardner_energy,
     linear_gromov_energy,
     moment_matrix,
+    sl_energy,
+    sp_energy,
     verify_map_optimality,
 )
 from .errors import (
@@ -59,9 +66,9 @@ from .problems import (
     load_problem,
     nonnegative,
     number,
-    parse_potential,
     parse_problem,
     positive,
+    quadratic_potential,
     read_json,
     symmetric_matrix,
 )
@@ -84,6 +91,9 @@ EXIT_RESOURCE = 5
 RESTACK_MAX_DIM = 4
 # every point of a sweep is evaluated: a count beyond this fails as a cell cap does
 SWEEP_MAX_POINTS = 10**6
+# a sweep evaluates its points in stacks of at most this many matrix entries
+# (4,096 points of side 8), so its memory does not grow with the point count
+SWEEP_BLOCK_ENTRIES = 4096 * 8 * 8
 # a sampler batch holds stacks of (2 dof)^2 matrices: peak memory grows as dof^2
 VERIFY_MAX_DOF = 16
 SWEEP_CSV_HEADER = "epsilon,E_initial,E_SL,E_Sp,F_SL,F_Sp"
@@ -91,7 +101,7 @@ RESTACK_CSV_HEADER = "level,h,cells,energy,pre_energy"
 
 
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "nan"
     return f"{float(value):.17g}"
 
@@ -150,7 +160,7 @@ def cmd_bounds(args) -> int:
         for key, report in (("sl", sl), ("sp", sp)):
             payload[key] = {
                 "energy": report.energy,
-                "fraction": report.fraction,
+                "fraction": inaccessible_fraction(report.energy, initial),
                 "optimality_gap": verify_map_optimality(report, m, problem.potential),
                 "map": {
                     "matrix": report.map.matrix.tolist(),
@@ -166,75 +176,100 @@ def cmd_bounds(args) -> int:
 # sweep
 
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_BINARY_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 
-def _eval_parameter_expression(text: str, value: float, path: str) -> float:
-    """Evaluate an arithmetic expression in the variable ``epsilon``.
+def _parse_expression(text: str, path: str) -> Callable[[float], float]:
+    """The arithmetic expression ``text`` in the variable ``epsilon``, parsed
+    once, as a function of the value of ``epsilon``.
 
     Only numbers, +, -, *, /, ** and the name ``epsilon`` are allowed, and
-    the value must be a finite real number.
+    the value must be a finite real number; arithmetic is on Python floats.
+    Any other token, and a subexpression nested too deeply to build, fails
+    when an evaluation reaches it, so that errors come in the order in which
+    evaluation meets them.  Failures raise SchemaError at ``path``.
     """
 
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            return left**right
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            operand = walk(node.operand)
-            return operand if isinstance(node.op, ast.UAdd) else -operand
+    def failing(message):
+        def fail(x):
+            raise SchemaError(path, message)
+
+        return fail
+
+    def build(node):
+        try:
+            if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPERATORS:
+                op = _BINARY_OPERATORS[type(node.op)]
+                left, right = build(node.left), build(node.right)
+                return lambda x: op(left(x), right(x))
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+                return build(node.operand)
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                operand = build(node.operand)
+                return lambda x: -operand(x)
+        except RecursionError:
+            return failing("expression is nested too deeply")
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
+            # an integer beyond the float range fails when it is evaluated
+            constant = node.value
+            return lambda x: float(constant)
         if isinstance(node, ast.Name) and node.id == "epsilon":
-            return value
-        raise SchemaError(path, f"unsupported token in expression {text!r}")
+            return lambda x: x
+        return failing(f"unsupported token in expression {text!r}")
 
     try:
-        result = walk(ast.parse(text, mode="eval"))
+        function = build(ast.parse(text, mode="eval").body)
     except SyntaxError:
         raise SchemaError(path, f"invalid expression {text!r}") from None
     except (MemoryError, RecursionError):
-        # ast.parse and walk recurse once per nesting level
+        # the parser and the evaluation recurse once per nesting level
         raise SchemaError(path, "expression is nested too deeply") from None
-    except ArithmeticError as err:
-        raise SchemaError(
-            path, f"expression {text!r} fails at epsilon = {value!r}: {err}"
-        ) from None
-    if not isinstance(result, float) or not math.isfinite(result):
-        raise SchemaError(
-            path, f"expression {text!r} is not a finite real number at epsilon = {value!r}"
-        )
-    return result
+
+    def evaluate(value: float) -> float:
+        try:
+            result = function(value)
+        except (MemoryError, RecursionError):
+            raise SchemaError(path, "expression is nested too deeply") from None
+        except ArithmeticError as err:
+            raise SchemaError(
+                path, f"expression {text!r} fails at epsilon = {value!r}: {err}"
+            ) from None
+        if not isinstance(result, float) or not math.isfinite(result):
+            raise SchemaError(
+                path, f"expression {text!r} is not a finite real number at epsilon = {value!r}"
+            )
+        return result
+
+    return evaluate
 
 
-def _substitute_potential(template: dict, value: float) -> dict:
-    """The template's potential object with V's expressions evaluated at ``value``."""
+def _parameter_entries(template: dict, value: float) -> tuple:
+    """The rows of the template's V with each string entry evaluated at
+    ``value``, and those entries as ``(i, j, function of epsilon)``.
+
+    Each expression is parsed once, here.  Entries are read and evaluated in
+    row-major order, so the first one that fails at ``value`` is reported.
+    """
     potential = template.get("potential")
     if not isinstance(potential, dict) or not isinstance(potential.get("V"), list):
         raise SchemaError("/template/potential/V", "missing potential matrix")
-    rows = []
+    rows, entries = [], []
     for i, row in enumerate(potential["V"]):
         if not isinstance(row, list):
             raise SchemaError(f"/template/potential/V/{i}", "expected a list")
-        rows.append(
-            [
-                _eval_parameter_expression(entry, value, f"/template/potential/V/{i}/{j}")
-                if isinstance(entry, str)
-                else entry
-                for j, entry in enumerate(row)
-            ]
-        )
-    return {**potential, "V": rows}
+        rows.append(list(row))
+        for j, text in enumerate(row):
+            if isinstance(text, str):
+                evaluate = _parse_expression(text, f"/template/potential/V/{i}/{j}")
+                rows[i][j] = evaluate(value)
+                entries.append((i, j, evaluate))
+    return rows, entries
 
 
 def _sweep_values(spec: dict) -> np.ndarray:
@@ -260,11 +295,31 @@ def _sweep_values(spec: dict) -> np.ndarray:
     raise SchemaError("/range/spacing", f"unknown spacing {spacing!r}")
 
 
-def _sweep_point(m, potential, value: float) -> tuple:
+def _potential_stack(first: QuadraticPotential, matrix: np.ndarray, entries: list,
+                     values: list) -> QuadraticPotential:
+    """The potentials at the sweep points ``values``, as one stack: ``matrix``
+    with the string entries evaluated at each point, and the offset and
+    minimum of the first point's potential ``first``."""
+    stack = np.broadcast_to(matrix, (len(values),) + matrix.shape).copy()
+    rows = [i for i, _, _ in entries]
+    columns = [j for _, j, _ in entries]
+    stack[:, rows, columns] = [[evaluate(value) for _, _, evaluate in entries] for value in values]
+    return quadratic_potential(first.offset, first.minimum, stack, "/template/potential/V")
+
+
+def _sweep_point(m, potential, values: list, spectra: MomentSpectra) -> list:
+    """The CSV rows of the sweep points ``values``, whose potentials are
+    ``potential``: one matrix for one point, or a stack with one per point."""
     initial = moment_energy(m, potential)
-    sl = linear_gardner_energy(m, potential)
-    sp = linear_gromov_energy(m, potential)
-    return (value, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
+    moment_matrix(m, potential)
+    sl = sl_energy(m, potential, spectra.log_det)
+    spectrum_v = symplectic_eigenvalues(potential.decomposition)
+    sp = sp_energy(m, potential, spectrum_v, spectra.symplectic)
+    columns = [np.ravel(column).tolist() for column in (initial, sl, sp)]
+    return [
+        (value, e, a, b, inaccessible_fraction(a, e), inaccessible_fraction(b, e))
+        for value, e, a, b in zip(values, *columns)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -279,21 +334,36 @@ def cmd_sweep(args) -> int:
         raise SchemaError("/template", "expected a problem object")
     values = [float(v) for v in _sweep_values(spec)]
     base_dir = os.path.dirname(os.path.abspath(args.spec))
-    # only V depends on epsilon: the rest of the template is parsed once
-    first = {**template, "potential": _substitute_potential(template, values[0])}
+    # only V depends on epsilon: the rest of the template is read once, at
+    # the first point, and so are V's expressions
+    rows, entries = _parameter_entries(template, values[0])
+    first = {**template, "potential": {**template["potential"], "V": rows}}
     problem = parse_problem(first, base_dir, root="/template")
     problem.dof  # the Sp energies need an even dimension: fail at /template/dim
     with _fails_at("/template/distribution"):
         m = moments(problem.distribution)
+    spectra = MomentSpectra(m)
+    matrix = np.array(rows, dtype=float)
+    block = max(1, SWEEP_BLOCK_ENTRIES // matrix.size)
+
+    def block_rows(points):
+        potential = _potential_stack(problem.potential, matrix, entries, points)
+        return _sweep_point(m, potential, points, spectra)
+
     with _fails_at("/template/potential/V"):
-        rows = [_sweep_point(m, problem.potential, values[0])]
-        for value in values[1:]:
-            obj = _substitute_potential(template, value)
-            potential = parse_potential(obj, problem.dim, "/template/potential")
-            rows.append(_sweep_point(m, potential, value))
+        # the first point reuses the potential the template was read with
+        out = _sweep_point(m, problem.potential, values[:1], spectra)
+        for start in range(1, len(values), block):
+            points = values[start:start + block]
+            try:
+                out += block_rows(points)
+            except (PhaseMinError, ArithmeticError):
+                # the first failing point wins, whatever its failure
+                for value in points:
+                    out += block_rows([value])
 
     lines = [SWEEP_CSV_HEADER]
-    for row in rows:
+    for row in out:
         lines.append(",".join(_fmt(x) for x in row))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -441,6 +511,18 @@ def cmd_verify(args) -> int:
                 f"got {args.cylinder_radius}",
             )
         sampler = _sampler(args.dof, args.seed, args.scale, "/dof")
+        # the search compares squared radii: a zero or subnormal square is no test
+        ball_squared = args.ball_radius * args.ball_radius
+        if not ball_squared > 0:
+            raise SchemaError(
+                "/ball-radius", f"ball radius squared must be positive, got {ball_squared}"
+            )
+        if not args.cylinder_radius * args.cylinder_radius >= sys.float_info.min:
+            raise SchemaError(
+                "/cylinder-radius",
+                "cylinder radius squared is below the normal float range, "
+                f"got {args.cylinder_radius * args.cylinder_radius}",
+            )
         with _fails_at("/ball-radius"):
             result = nonsqueeze_search(
                 args.ball_radius, args.cylinder_radius, args.trials, sampler

@@ -50,7 +50,9 @@ class QuadraticPotential:
 
     ``matrix`` must be symmetric positive semidefinite; ``offset`` is the
     energy at the minimum.  Evaluating at z = minimum returns offset exactly.
-    ``decomposition`` is the eigendecomposition of ``matrix``.
+    ``decomposition`` is the eigendecomposition of ``matrix``.  A (..., d, d)
+    stack of matrices holds one potential per matrix, all with the same
+    offset and minimum; the energies take it, ``evaluate`` does not.
     """
 
     offset: float
@@ -60,7 +62,7 @@ class QuadraticPotential:
 
     def __post_init__(self):
         dec = sym_eig(self.matrix)
-        low = _vector(self.minimum, dec.matrix.shape[0], "potential minimum")
+        low = _vector(self.minimum, dec.matrix.shape[-1], "potential minimum")
         require_semidefinite(dec, "potential matrix")
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "minimum", low)
@@ -69,7 +71,7 @@ class QuadraticPotential:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def evaluate(self, z) -> np.ndarray:
         """Potential values at one point or a stack of points (last axis = dim)."""
@@ -342,8 +344,9 @@ def _(f: Mixture) -> Moments:
 # energies
 
 
-def moment_energy(m: Moments, potential: QuadraticPotential) -> float:
-    """Potential energy of any distribution with the given moments.
+def moment_energy(m: Moments, potential: QuadraticPotential):
+    """Potential energy of any distribution with the given moments: a float,
+    or an array with one energy per matrix of a stacked potential.
 
     For a quadratic potential the energy depends on the distribution only
     through (N, c, H):
@@ -353,12 +356,14 @@ def moment_energy(m: Moments, potential: QuadraticPotential) -> float:
         raise DimensionError(
             f"moments have dimension {m.dim}, potential {potential.dim}"
         )
+    v = potential.matrix
     shift = m.center - potential.minimum
-    return float(
+    energy = (
         potential.offset * m.mass
-        + np.trace(potential.matrix @ m.second_moment)
-        + m.mass * shift @ potential.matrix @ shift
+        + np.trace(v @ m.second_moment, axis1=-2, axis2=-1)
+        + np.vecdot(m.mass * shift @ v, shift)
     )
+    return float(energy) if energy.ndim == 0 else energy
 
 
 # ---------------------------------------------------------------------------

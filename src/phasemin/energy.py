@@ -73,8 +73,7 @@ class EnergyReport:
     @property
     def fraction(self) -> Optional[float]:
         """Minimal over initial energy, or None when the initial energy vanishes."""
-        initial = moment_energy(self.moments, self.potential)
-        return self.energy / initial if initial > 0 else None
+        return inaccessible_fraction(self.energy, moment_energy(self.moments, self.potential))
 
     @cached_property
     def map(self) -> AffineMap:
@@ -84,6 +83,23 @@ class EnergyReport:
             center=self.moments.center.copy(),
             target=self.potential.minimum.copy(),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class MomentSpectra:
+    """log det H and the descending symplectic spectrum of H, as
+    ``linear_gardner_energy`` and ``linear_gromov_energy`` compute them, each
+    computed on first read, so that the potentials of a sweep share them."""
+
+    moments: Moments
+
+    @cached_property
+    def log_det(self) -> float:
+        return np.linalg.slogdet(self.moments.second_moment)[1]
+
+    @cached_property
+    def symplectic(self) -> np.ndarray:
+        return symplectic_eigenvalues(self.moments.decomposition)
 
 
 class BumpOnTailSplit(NamedTuple):
@@ -119,9 +135,17 @@ def _map_potential(potential: QuadraticPotential) -> EigenDecomposition:
     return sym_eig(v + MAP_RIDGE * scale * np.eye(v.shape[0]))
 
 
-def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray) -> float:
-    """sum_k dH_k * dV_(n+1-k) with both spectra descending."""
-    return float(np.dot(spectrum_h, spectrum_v[::-1]))
+def inaccessible_fraction(energy: float, initial: float) -> Optional[float]:
+    """Minimal over initial energy, or None when the initial energy vanishes."""
+    return energy / initial if initial > 0 else None
+
+
+def anti_sorted_pairing(spectrum_v: np.ndarray, spectrum_h: np.ndarray):
+    """sum_k dH_k * dV_(n+1-k) with both spectra descending: a float, or an
+    array with one value per spectrum of a (..., n) stack ``spectrum_v``."""
+    # numpy's dot reads a reversed view in another order than a contiguous copy
+    pairing = np.vecdot(np.ascontiguousarray(spectrum_v[..., ::-1]), spectrum_h)
+    return float(pairing) if pairing.ndim == 0 else pairing
 
 
 def sl_optimal_map(dec_v: EigenDecomposition, dec_h: EigenDecomposition) -> np.ndarray:
@@ -153,6 +177,39 @@ def sp_optimal_map(dec_v: EigenDecomposition, dec_h: EigenDecomposition) -> np.n
     return s_v @ relabel @ s_h.T
 
 
+def _per_matrix(energy, *columns):
+    # energy, a formula on Python floats, applied to the values of one matrix,
+    # or to those of each matrix of a stack, giving an array
+    if np.ndim(columns[0]) == 0:
+        return energy(*columns)
+    return np.array([energy(*row) for row in zip(*(column.tolist() for column in columns))])
+
+
+def sl_energy(m: Moments, potential: QuadraticPotential, log_det_h: float):
+    """N*offset + 2n * det(V H)^(1/(2n)), or N*offset where V is singular,
+    given log det H: a float, or an array with one energy per matrix of a
+    stacked potential.  The last steps run on Python floats for each matrix,
+    so each energy has the same bits in a stack as alone."""
+    dim = potential.dim
+    base = potential.offset * m.mass
+    mean_log = (np.linalg.slogdet(potential.matrix)[1] + log_det_h) / dim
+    return _per_matrix(
+        lambda x, definite: float(base + dim * math.exp(x)) if definite else float(base),
+        mean_log,
+        potential.decomposition.definite,
+    )
+
+
+def sp_energy(m: Moments, potential: QuadraticPotential, spectrum_v, spectrum_h):
+    """N*offset + 2 * sum_k dV_k dH_(n+1-k), given the descending symplectic
+    spectra of V (one per matrix of a stacked potential) and of H: a float,
+    or an array with one energy per matrix."""
+    base = potential.offset * m.mass
+    return _per_matrix(
+        lambda pairing: float(base + 2 * pairing), anti_sorted_pairing(spectrum_v, spectrum_h)
+    )
+
+
 def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
     """Minimal energy over affine maps with unit-determinant linear part.
 
@@ -161,12 +218,8 @@ def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyRe
     attained; the report's map is then built from a slightly ridged V.
     """
     h = moment_matrix(m, potential)
-    energy = potential.offset * m.mass
-    if potential.decomposition.definite:
-        dim = h.shape[0]
-        mean_log = (np.linalg.slogdet(potential.matrix)[1] + np.linalg.slogdet(h)[1]) / dim
-        energy += dim * math.exp(mean_log)
-    return EnergyReport(float(energy), "SL", m, potential, _map_potential(potential))
+    energy = sl_energy(m, potential, np.linalg.slogdet(h)[1])
+    return EnergyReport(energy, "SL", m, potential, _map_potential(potential))
 
 
 def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
@@ -180,9 +233,9 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     moment_matrix(m, potential)
     spectrum_v = symplectic_eigenvalues(potential.decomposition)
     spectrum_h = symplectic_eigenvalues(m.decomposition)
-    energy = potential.offset * m.mass + 2 * anti_sorted_pairing(spectrum_v, spectrum_h)
+    energy = sp_energy(m, potential, spectrum_v, spectrum_h)
     return EnergyReport(
-        float(energy), "Sp", m, potential, _map_potential(potential), spectrum_v, spectrum_h
+        energy, "Sp", m, potential, _map_potential(potential), spectrum_v, spectrum_h
     )
 
 

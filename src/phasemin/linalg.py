@@ -24,9 +24,10 @@ ZERO_CLAMP_RTOL = 1e-10
 
 
 def as_square(a) -> np.ndarray:
-    """Coerce to a float square matrix, rejecting non-square or non-finite input."""
+    """Coerce to a float square matrix, or a (..., d, d) stack of them,
+    rejecting non-square or non-finite input."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -34,26 +35,33 @@ def as_square(a) -> np.ndarray:
 
 
 def symmetrize(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return the symmetric average (a + a.T)/2 of a nearly symmetric matrix.
+    """Return the symmetric average (a + a.T)/2 of a nearly symmetric matrix,
+    or of each matrix of a (..., d, d) stack.
 
     Asymmetry beyond ``rtol`` relative to the largest entry magnitude is
-    rejected with ``ValueError`` rather than silently averaged away.
+    rejected with ``ValueError`` rather than silently averaged away; in a
+    stack the message describes the first such matrix.
     """
     a = as_square(a)
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > rtol * scale:
+    scale = np.abs(a).max(axis=(-2, -1))
+    gap = np.abs(a - a.mT).max(axis=(-2, -1))
+    # a zero matrix has no gap, so it never fails
+    asymmetric = gap > rtol * scale
+    if asymmetric.any():
+        k = np.argmax(asymmetric)
         raise ValueError(
             f"matrix is not symmetric within tolerance {rtol} "
-            f"(relative asymmetry {np.abs(a - a.T).max() / scale:.3e})"
+            f"(relative asymmetry {np.ravel(gap)[k] / np.ravel(scale)[k]:.3e})"
         )
     # halving first cannot overflow; above the subnormal range it gives the
     # same bits as halving the sum
-    return a / 2.0 + a.T / 2.0
+    return a / 2.0 + a.mT / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Spectral factorization of a symmetric matrix.
+    """Spectral factorization of a symmetric matrix, or of each matrix of a
+    (..., d, d) stack.
 
     ``matrix`` is the symmetrized input; ``eigenvalues`` are ascending;
     ``basis`` is special orthogonal with the matching eigenvectors as
@@ -66,22 +74,25 @@ class EigenDecomposition:
     matrix: np.ndarray
 
     @property
-    def definite(self) -> bool:
-        """Whether the smallest eigenvalue exceeds ``PD_RTOL`` times the largest."""
-        w = self.eigenvalues
-        return bool(w[-1] > 0 and w[0] > PD_RTOL * w[-1])
+    def definite(self):
+        """Whether the smallest eigenvalue exceeds ``PD_RTOL`` times the
+        largest: a bool, or a bool array with one flag per matrix of a stack."""
+        low, high = extremes(self.eigenvalues)
+        flags = (high > 0) & (low > PD_RTOL * high)
+        return flags if flags.ndim else bool(flags)
 
 
 def sym_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix with a det +1 basis."""
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    (..., d, d) stack, with a det +1 basis."""
     m = symmetrize(m)
     try:
         w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
         raise NumericalInstability(f"symmetric eigensolver did not converge: {err}") from None
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, 0] = -q[:, 0]
+    flip = np.linalg.det(q) < 0
+    if flip.any():
+        q[..., 0] = np.where(flip[..., None], -q[..., 0], q[..., 0])
     return EigenDecomposition(w, q, m)
 
 
@@ -101,13 +112,23 @@ def require_definite(dec: EigenDecomposition, name: str) -> EigenDecomposition:
     return dec
 
 
+def extremes(eigenvalues: np.ndarray) -> tuple:
+    """The smallest and the largest value of an ascending spectrum, as numpy
+    scalars, or of each spectrum of a stack, as arrays."""
+    # [()] turns a 0-d array into a scalar, whose arithmetic is far cheaper
+    return eigenvalues[..., 0][()], eigenvalues[..., -1][()]
+
+
 def require_semidefinite(dec: EigenDecomposition, name: str) -> EigenDecomposition:
-    """``dec``, raising NotSemidefinite if its matrix has a genuinely negative
-    eigenvalue; negative values within ``PSD_RTOL`` of the largest magnitude
-    are rounding."""
-    w = dec.eigenvalues
-    if not w[0] >= -PSD_RTOL * max(abs(w[0]), abs(w[-1])):
-        raise NotSemidefinite(f"{name} has negative eigenvalue {w[0]:.6e}", eigenvalue=w[0])
+    """``dec``, raising NotSemidefinite if its matrix, or a matrix of its
+    stack, has a genuinely negative eigenvalue; negative values within
+    ``PSD_RTOL`` of the largest magnitude are rounding.  In a stack the
+    first such matrix is reported."""
+    low, high = extremes(dec.eigenvalues)
+    negative = ~(low >= -PSD_RTOL * np.maximum(abs(low), abs(high)))
+    if negative.any():
+        w0 = np.ravel(low)[np.argmax(negative)]
+        raise NotSemidefinite(f"{name} has negative eigenvalue {w0:.6e}", eigenvalue=w0)
     return dec
 
 
@@ -122,9 +143,10 @@ def symplectic_form(dof: int) -> np.ndarray:
 
 
 def symplectic_residual(a) -> float:
-    """Max-norm residual |A.T J A - J| measuring how far A is from symplectic."""
+    """Max-norm residual |A.T J A - J| measuring how far A is from symplectic;
+    the largest over the matrices of a stack."""
     a = as_square(a)
-    if a.shape[0] % 2:
-        raise DimensionError(f"symplectic matrices have even dimension, got {a.shape[0]}")
-    j = symplectic_form(a.shape[0] // 2)
-    return float(np.abs(a.T @ j @ a - j).max())
+    if a.shape[-1] % 2:
+        raise DimensionError(f"symplectic matrices have even dimension, got {a.shape[-1]}")
+    j = symplectic_form(a.shape[-1] // 2)
+    return float(np.abs(a.mT @ j @ a - j).max())

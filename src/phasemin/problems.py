@@ -158,15 +158,30 @@ def _matrix(value, size, path: str) -> np.ndarray:
     return out
 
 
-def symmetric_matrix(value, size: Optional[int], path: str) -> np.ndarray:
-    """A JSON matrix of side ``size`` (any side if None), symmetrized.
+def _symmetric(matrix: np.ndarray, path: str) -> np.ndarray:
+    """``matrix``, or each matrix of a stack, symmetrized.
 
     Asymmetry beyond ``INPUT_SYMMETRY_RTOL`` of the largest entry is rejected.
     """
-    out = _matrix(value, size, path)
     try:
-        return symmetrize(out, INPUT_SYMMETRY_RTOL)
+        return symmetrize(matrix, INPUT_SYMMETRY_RTOL)
     except (ValueError, PhaseMinError) as err:
+        raise SchemaError(path, str(err)) from None
+
+
+def symmetric_matrix(value, size: Optional[int], path: str) -> np.ndarray:
+    """A JSON matrix of side ``size`` (any side if None), symmetrized."""
+    return _symmetric(_matrix(value, size, path), path)
+
+
+def quadratic_potential(offset: float, minimum: np.ndarray, matrix: np.ndarray,
+                        path: str) -> QuadraticPotential:
+    """The potential of values already read; ``matrix``, found at ``path``,
+    is one matrix or a (k, d, d) stack of them, and each must be symmetric
+    and positive semidefinite."""
+    try:
+        return QuadraticPotential(offset=offset, minimum=minimum, matrix=_symmetric(matrix, path))
+    except NotSemidefinite as err:
         raise SchemaError(path, str(err)) from None
 
 
@@ -175,11 +190,8 @@ def parse_potential(obj, dim: int, path: str = "/potential") -> QuadraticPotenti
         raise SchemaError(path, "expected an object")
     v0 = number(_require(obj, "V0", path), f"{path}/V0")
     d = _vector(_require(obj, "d", path), dim, f"{path}/d")
-    v = symmetric_matrix(_require(obj, "V", path), dim, f"{path}/V")
-    try:
-        return QuadraticPotential(offset=v0, minimum=d, matrix=v)
-    except NotSemidefinite as err:
-        raise SchemaError(f"{path}/V", str(err)) from None
+    v = _matrix(_require(obj, "V", path), dim, f"{path}/V")
+    return quadratic_potential(v0, d, v, f"{path}/V")
 
 
 def parse_grid(obj: dict, dim: int, root: str, csv_dir: Optional[str] = None) -> Grid:

@@ -9,12 +9,13 @@ sample is certified after construction by its symplecticity residual.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
-from .errors import DimensionError, NotPositiveDefinite, NumericalInstability
+from .errors import DimensionError, NumericalInstability
 from .linalg import EigenDecomposition, require_definite, sym_eig, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
@@ -220,16 +221,18 @@ def nonsqueeze_search(
     is the ellipsoid with shape matrix R^2 A A.T.  Counts containment
     successes (provably impossible for r < R) and tracks the smallest
     cylinder-energy integral seen over the images, which can never drop
-    below the ball's own value.
+    below the ball's own value.  A ball whose own value underflows the
+    normal float range raises FloatingPointError: its images' values would
+    read 0 and show nothing.
     """
     n = sampler.dof
     r2 = ball_radius**2
-    if not r2 > 0:
-        raise NotPositiveDefinite(f"ball radius squared must be positive, got {r2}", r2)
     limit = cylinder_radius**2 * (1 + 1e-12)
     successes = 0
     # identity map image; sampled images can only tie or exceed
     min_energy = float(_cylinder_energy(r2 * np.eye(2 * n), n))
+    if not min_energy >= sys.float_info.min:
+        raise FloatingPointError(f"the ball's cylinder energy {min_energy} underflows")
     for start in range(0, int(trials), BATCH):
         a = sampler.sample_batch(min(BATCH, int(trials) - start))
         shapes = r2 * (a @ a.transpose(0, 2, 1))

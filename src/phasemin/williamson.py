@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import DimensionError, NumericalInstability
 from .linalg import (
-    ZERO_CLAMP_RTOL, EigenDecomposition, symplectic_form,
+    ZERO_CLAMP_RTOL, EigenDecomposition, extremes, symplectic_form,
     require_definite, require_semidefinite,
 )
 
 
 def _even_dim(dec: EigenDecomposition) -> int:
-    dim = dec.eigenvalues.shape[0]
+    dim = dec.eigenvalues.shape[-1]
     if dim % 2:
         raise DimensionError(f"phase-space matrices have even dimension, got {dim}")
     return dim // 2
@@ -37,7 +37,8 @@ def _even_dim(dec: EigenDecomposition) -> int:
 
 def symplectic_eigenvalues(dec: EigenDecomposition) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive semidefinite matrix m,
-    given as its eigendecomposition ``dec``.
+    given as its eigendecomposition ``dec``; for a decomposed (..., 2n, 2n)
+    stack, the (..., n) spectra of its matrices.
 
     Returns the n values d_1 >= d_2 >= ... >= 0 with ±i·d_k the eigenvalues
     of J @ m.  Semidefinite input is allowed; values below
@@ -50,15 +51,15 @@ def symplectic_eigenvalues(dec: EigenDecomposition) -> np.ndarray:
     """
     n = _even_dim(dec)
     w = require_semidefinite(dec, "matrix").eigenvalues
-    root = (dec.basis * np.sqrt(np.clip(w, 0.0, None))) @ dec.basis.T
-    j = symplectic_form(n)
-    k = root @ j @ root
-    k = (k - k.T) / 2.0
-    squared = np.clip(np.linalg.eigvalsh(k @ k.T), 0.0, None)
-    singular = np.sqrt(squared)[::-1]
+    root = (dec.basis * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dec.basis.mT
+    k = root @ symplectic_form(n) @ root
+    k = (k - k.mT) / 2.0
+    squared = np.clip(np.linalg.eigvalsh(k @ k.mT), 0.0, None)
+    singular = np.sqrt(squared)[..., ::-1]
     # the 2n singular values come in equal pairs; average each pair
-    values = (singular[0::2] + singular[1::2]) / 2.0
-    values[values <= ZERO_CLAMP_RTOL * max(abs(w[0]), abs(w[-1]))] = 0.0
+    values = (singular[..., 0::2] + singular[..., 1::2]) / 2.0
+    low, high = extremes(w)
+    values[values <= ZERO_CLAMP_RTOL * np.maximum(abs(low), abs(high))[..., None]] = 0.0
     return values
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCHUR_FAILURE_COVARIANCE
@@ -129,6 +129,24 @@ def test_bounds_output_file_matches_stdout(tmp_path, capsys):
     assert code == EXIT_OK
     assert silent == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_bounds_computes_the_initial_energy_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (phasemin.cli, phasemin.energy):
+
+        def counting(m, potential, energy=module.moment_energy):
+            calls.append(potential)
+            return energy(m, potential)
+
+        monkeypatch.setattr(module, "moment_energy", counting)
+    path = write_json(tmp_path / "p.json", gaussian_problem(0.25))
+    code, out, _ = run(capsys, ["bounds", path])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    payload = json.loads(out)
+    for group in ("sl", "sp"):
+        assert payload[group]["fraction"] == payload[group]["energy"] / payload["initial_energy"]
 
 
 def odd_dimension_problem():
@@ -273,18 +291,23 @@ def test_sweep_is_deterministic(tmp_path, capsys):
 
 
 def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
-    evaluated = []
+    blocks = []
     evaluate = phasemin.cli._sweep_point
 
-    def counting(m, potential, value):
-        evaluated.append(value)
-        return evaluate(m, potential, value)
+    def counting(m, potential, values, spectra):
+        blocks.append(list(values))
+        return evaluate(m, potential, values, spectra)
 
     monkeypatch.setattr(phasemin.cli, "_sweep_point", counting)
+    # two points per stacked block at side 4
+    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 2 * 16)
     path = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
     code, out, _ = run(capsys, ["sweep", path])
     assert code == EXIT_OK
     assert len(out.strip().split("\n")) == 6
+    # the first point alone, then stacks of at most two points
+    assert [len(block) for block in blocks] == [1, 2, 2]
+    evaluated = [value for block in blocks for value in block]
     np.testing.assert_allclose(evaluated, [0.2, 0.65, 1.1, 1.55, 2.0], rtol=1e-12)
 
 
@@ -311,6 +334,180 @@ def test_sweep_rows_match_per_point_evaluation(tmp_path, capsys):
     assert out == "\n".join(expected) + "\n"
 
 
+def per_point_rows(template, epsilons):
+    """The CSV of a sweep, with each point read and evaluated on its own.
+
+    The string entries of V are evaluated by Python itself, which agrees with
+    the sweep's arithmetic for expressions whose numbers are float literals.
+    """
+    lines = [SWEEP_CSV_HEADER]
+    for eps in epsilons:
+        eps = float(eps)
+        problem_spec = json.loads(json.dumps(template))
+        problem_spec["potential"]["V"] = [
+            [eval(x, {"__builtins__": {}}, {"epsilon": eps}) if isinstance(x, str) else x
+             for x in row]
+            for row in template["potential"]["V"]
+        ]
+        problem = parse_problem(problem_spec)
+        m = moments(problem.distribution)
+        sl = linear_gardner_energy(m, problem.potential)
+        sp = linear_gromov_energy(m, problem.potential)
+        initial = moment_energy(m, problem.potential)
+        row = (eps, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_epsilons(start, stop, points, spacing):
+    if spacing == "log":
+        return np.logspace(np.log10(start), np.log10(stop), points)
+    return np.linspace(start, stop, points)
+
+
+# arithmetic in epsilon over + - * / and **, with float literals only
+EPSILON_EXPRESSIONS = st.recursive(
+    st.just("epsilon") | st.floats(0.25, 2.0).map(repr),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: "({} {} {})".format(*t)),
+        st.tuples(inner, st.sampled_from(["2.0", "3.0"])).map(lambda t: "({})**{}".format(*t)),
+        inner.map("-{}".format),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    expressions=st.lists(EPSILON_EXPRESSIONS, min_size=1, max_size=4),
+    points=st.integers(2, 9),
+    spacing=st.sampled_from(["linear", "log"]),
+    block=st.sampled_from([None, 1, 2, 3]),
+)
+def test_sweep_csv_equals_per_point_evaluation(
+    tmp_path, capsys, n, seed, expressions, points, spacing, block
+):
+    rng = np.random.default_rng(seed)
+    dim = 2 * n
+    # V stays definite at every epsilon: each diagonal entry is at least 1 and
+    # each off-diagonal one at most 1/(2 dim) in magnitude, as c x/(1 + x^2) is
+    v = np.diag(rng.uniform(1.0, 2.0, dim)).tolist()
+    for expression in expressions:
+        i, j = sorted(rng.integers(0, dim, 2).tolist())
+        if i == j:
+            v[i][i] = f"{v[i][i]} + ({expression})**2.0"
+        else:
+            c = float(rng.uniform(-1.0, 1.0)) / dim
+            v[i][j] = v[j][i] = f"{c!r}*({expression})/(1.0 + ({expression})**2.0)"
+    a = rng.normal(size=(dim, dim))
+    template = {
+        "n": n,
+        "potential": {"V0": float(rng.uniform(0, 1)), "d": rng.normal(size=dim).tolist(),
+                      "V": v},
+        "distribution": {"type": "gaussian", "weight": float(rng.uniform(0.5, 2.0)),
+                         "mean": rng.normal(size=dim).tolist(),
+                         "covariance": (a @ a.T + 0.5 * np.eye(dim)).tolist()},
+    }
+    start, stop = float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.5, 3.0))
+    try:
+        expected = per_point_rows(template, sweep_epsilons(start, stop, points, spacing))
+    except ArithmeticError:
+        # an expression divides by zero or leaves the float range at some point
+        assume(False)
+    spec = {"template": template,
+            "range": {"start": start, "stop": stop, "points": points, "spacing": spacing}}
+    path = write_json(tmp_path / "s.json", spec)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", block * dim * dim)
+        code, out, err = run(capsys, ["sweep", path])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == expected
+
+
+def test_sweep_longer_than_one_block_matches_across_the_boundary(
+    tmp_path, capsys, monkeypatch
+):
+    spec = sweep_spec(0.2, 2.0, phasemin.cli.SWEEP_BLOCK_ENTRIES // 16 + 2)
+    spec["template"]["potential"]["V"][0][1] = "0.1*epsilon"
+    spec["template"]["potential"]["V"][1][0] = "0.1*epsilon"
+    path = write_json(tmp_path / "s.json", spec)
+    code, out, _ = run(capsys, ["sweep", path])
+    assert code == EXIT_OK
+    lines = out.split("\n")
+    # the first point, one whole block, and one point in a second block
+    epsilons = np.linspace(0.2, 2.0, len(lines) - 2)
+    for k in (1, 2, len(lines) - 4, len(lines) - 3, len(lines) - 2):
+        row = per_point_rows(spec["template"], epsilons[k - 1:k]).split("\n")[1]
+        assert lines[k] == row
+    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 1000 * 16)
+    assert run(capsys, ["sweep", path])[1] == out
+
+
+def test_sweep_parses_each_expression_once(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse = phasemin.cli.ast.parse
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(phasemin.cli.ast, "parse", counting)
+    spec = sweep_spec(0.2, 2.0, 7)
+    spec["template"]["potential"]["V"][0][0] = "1 + epsilon/10"
+    spec["template"]["potential"]["V"][0][1] = "0.1*epsilon"
+    spec["template"]["potential"]["V"][1][0] = "0.1*epsilon"
+    code, out, _ = run(capsys, ["sweep", write_json(tmp_path / "s.json", spec)])
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 8
+    assert parsed == ["1 + epsilon/10", "0.1*epsilon", "0.1*epsilon", "epsilon**2"]
+
+
+def one_dof_sweep(v, start, stop, points, covariance=1.0):
+    return {
+        "template": {
+            "n": 1,
+            "potential": {"V0": 0.0, "d": [0.0, 0.0], "V": v},
+            "distribution": {"type": "gaussian", "weight": 1.0, "mean": [0.0, 0.0],
+                             "covariance": [[covariance, 0.0], [0.0, covariance]]},
+        },
+        "range": {"start": start, "stop": stop, "points": points},
+    }
+
+
+# each sweep fails at two points or more; the first failing point wins, with
+# the message it has when the points are read and evaluated one at a time
+@pytest.mark.parametrize(
+    "spec, block, err",
+    [
+        # epsilon = 1, 2, 3, 4: tr(V H) leaves the float range at 3, the
+        # expression at 4
+        (one_dof_sweep([["10.0**(100*epsilon)", 0.0], [0.0, 1.0]], 1.0, 4.0, 4, 1e10),
+         None, "/template/potential/V: a computed value is beyond the float range"),
+        # epsilon = 1, 2, 3, 4: the expression fails at 2, V is indefinite at 4
+        (one_dof_sweep([["1 + 1/(epsilon - 2)**2", 0.0], [0.0, "3 - epsilon"]], 1.0, 4.0, 4),
+         None, "/template/potential/V/0/0: expression '1 + 1/(epsilon - 2)**2' fails at "
+               "epsilon = 2.0: float division by zero"),
+        # epsilon = 0, ..., 6 in stacks of two points after the first: V is
+        # indefinite from 4 on, in the second stack, and the expression
+        # fails at 6, in the third
+        (one_dof_sweep([["1 + 1/(epsilon - 6)**2", 0.0], [0.0, "3 - epsilon"]], 0.0, 6.0, 7),
+         2, "/template/potential/V: potential matrix has negative eigenvalue -1.000000e+00"),
+    ],
+    ids=["overflow-before-expression", "expression-before-indefinite",
+         "indefinite-in-the-second-block"],
+)
+def test_the_first_failing_point_of_a_sweep_wins(tmp_path, capsys, monkeypatch, spec, block, err):
+    if block is not None:
+        monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", block * 4)
+    code, out, stderr = run(capsys, ["sweep", write_json(tmp_path / "s.json", spec)])
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert stderr == f"schema error at {err}\n"
+
+
 def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     tmp_path, capsys, monkeypatch
 ):
@@ -330,17 +527,19 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     assert sorted(built) == ["sl_optimal_map", "sp_optimal_map"]
 
 
-# (eigh, eigvalsh, complex eigh) calls per command.  The real eigh calls
-# decompose each input matrix once: the covariance or ellipsoid matrix, V and H
-# (each sweep point's V); restack needs no H.  The eigvalsh calls are the Gram
-# spectra of V and H.  The complex eigh calls are the Hermitian kernels of the
-# two Williamson transforms that the Sp map is built from.
+# (eigh, eigvalsh, complex eigh) matrices decomposed per command; a stacked
+# call counts each matrix of its stack.  The real eigh calls decompose each
+# input matrix once: the covariance or ellipsoid matrix, V and H (each sweep
+# point's V); restack needs no H.  The eigvalsh calls are the Gram spectra of
+# V and H (each sweep point's V, and H once per sweep).  The complex eigh
+# calls are the Hermitian kernels of the two Williamson transforms that the
+# Sp map is built from.
 @pytest.mark.parametrize(
     "argv, counts",
     [
         (["bounds", "GAUSSIAN"], (3, 2, 2)),
         (["bounds", "ELLIPSOID"], (3, 2, 2)),
-        (["sweep", "SWEEP"], (7, 10, 0)),
+        (["sweep", "SWEEP"], (7, 6, 0)),
         (["restack", "GAUSSIAN", "--levels", "0"], (2, 0, 0)),
         (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2, 2)),
         (["verify", "ellipsoid", "--first", "[[2.0, 0.0], [0.0, 0.5]]",
@@ -367,7 +566,8 @@ def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, cou
     for name in ("eigh", "eigvalsh"):
 
         def counting(a, *args, name=name, solve=getattr(np.linalg, name), **kwargs):
-            calls.append(name if np.isrealobj(a) else "complex " + name)
+            kind = name if np.isrealobj(a) else "complex " + name
+            calls.extend([kind] * math.prod(np.shape(a)[:-2]))
             return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -802,6 +1002,12 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         # the radius is positive; its square underflows to zero
         (["nonsqueeze", "--ball-radius", "1e-200", "--cylinder-radius", "1e-201"],
          "/ball-radius"),
+        # the radius squares to a subnormal float, then to zero in the search
+        (["nonsqueeze", "--ball-radius", "1e-160", "--cylinder-radius", "5e-301"],
+         "/cylinder-radius"),
+        # both radii square to normal floats; the ball's energy underflows
+        (["nonsqueeze", "--ball-radius", "1e-100", "--cylinder-radius", "5e-101"],
+         "/ball-radius"),
         (["theorem", "--problem", "SEMIDEFINITE"], "/potential/V"),
         (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2, "--tol", "-1"],
          "/tol"),
@@ -832,6 +1038,8 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         "nonsqueeze-zero-cylinder",
         "nonsqueeze-infinite-ball",
         "nonsqueeze-ball-radius-squares-to-zero",
+        "nonsqueeze-cylinder-radius-squares-below-the-normal-range",
+        "nonsqueeze-ball-energy-underflows",
         "theorem-semidefinite-potential",
         "ellipsoid-negative-tol",
         "ellipsoid-nan-tol",
@@ -1048,6 +1256,17 @@ def test_sweep_and_restack_reject_inputs_outside_the_contract(
     assert code == EXIT_SCHEMA
     assert out == ""
     assert err.startswith(f"schema error at {pointer}: ")
+
+
+def test_an_expression_fails_where_its_evaluation_first_fails(tmp_path, capsys):
+    # the division fails before the evaluation reaches the deeply nested operand
+    expression = "1/0 + " + "-" * 1_500 + "epsilon"
+    code, out, err = run(capsys, ["sweep", write_json(tmp_path / "s.json", sweep_with(expression))])
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err == (
+        f"schema error at /template/potential/V/1/1: expression {expression!r} "
+        "fails at epsilon = 0.5: float division by zero\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,22 @@ from phasemin.distributions import (
 )
 from phasemin.energy import (
     AffineMap,
+    MomentSpectra,
     anti_sorted_pairing,
     bump_on_tail_1d,
     degenerate_limit,
     linear_gardner_energy,
     linear_gromov_energy,
+    sl_energy,
     sl_optimal_map,
+    sp_energy,
     sp_optimal_map,
     verify_map_optimality,
 )
 from phasemin.errors import DegenerateMoments, DimensionError, NumericalInstability
 from phasemin.linalg import sym_eig, symplectic_form, symplectic_residual
 from phasemin.verify import SymplecticSampler
+from phasemin.williamson import symplectic_eigenvalues
 
 EPS_FAMILY = (0.1, 0.5, 1.0, 2.0, 3.0)
 
@@ -304,6 +308,47 @@ def test_energies_are_invariant_under_a_common_translation(seed, dof, spread):
     for energy in (linear_gardner_energy, linear_gromov_energy):
         assert energy(*after).energy == pytest.approx(energy(*before).energy, rel=1e-9)
     assert moment_energy(*after) == pytest.approx(moment_energy(*before), rel=1e-9)
+
+
+@INVARIANCE_SETTINGS
+@given(**INVARIANT_PROBLEMS, count=st.integers(1, 5))
+def test_stacked_energies_are_each_matrix_energies_bit_for_bit(seed, dof, spread, count):
+    rng, _, h = random_problem(seed, dof, spread)
+    dim = 2 * dof
+    vs = np.array([random_spd(rng, dim, spread) for _ in range(count + 1)])
+    # the last potential is singular: its SL term vanishes
+    w, q = np.linalg.eigh(vs[-1])
+    vs[-1] = (q * np.concatenate([[0.0], w[1:]])) @ q.T
+    vs[-1] = (vs[-1] + vs[-1].T) / 2.0
+    m = moments(Gaussian(1.5, rng.normal(size=dim), h))
+    minimum = rng.normal(size=dim)
+    stack = QuadraticPotential(0.3, minimum, vs)
+    spectra = MomentSpectra(m)
+    initial = moment_energy(m, stack)
+    sl = sl_energy(m, stack, spectra.log_det)
+    spectrum_v = symplectic_eigenvalues(stack.decomposition)
+    sp = sp_energy(m, stack, spectrum_v, spectra.symplectic)
+    base, shift, hh = 0.3 * m.mass, m.center - minimum, m.second_moment
+    for k in range(count + 1):
+        one = QuadraticPotential(0.3, minimum, vs[k])
+        v = one.matrix
+        assert np.array_equal(stack.matrix[k], v)
+        # the closed forms, in the arithmetic of the single-matrix code
+        mean_log = (np.linalg.slogdet(v)[1] + np.linalg.slogdet(hh)[1]) / dim
+        spectrum = symplectic_eigenvalues(one.decomposition)
+        expected = (
+            float(base + np.trace(v @ hh) + m.mass * shift @ v @ shift),
+            float(base + dim * math.exp(mean_log)) if one.decomposition.definite else base,
+            float(base + 2 * float(np.dot(spectra.symplectic, spectrum[::-1]))),
+        )
+        assert one.decomposition.definite == (k < count)
+        assert np.array_equal(spectrum_v[k], spectrum)
+        assert (initial[k], sl[k], sp[k]) == expected
+        assert (
+            moment_energy(m, one),
+            linear_gardner_energy(m, one).energy,
+            linear_gromov_energy(m, one).energy,
+        ) == expected
 
 
 def test_optimal_map_properties():
