@@ -94,7 +94,8 @@ SWEEP_MAX_POINTS = 10**6
 # a sweep evaluates its points in stacks of at most this many matrix entries
 # (4,096 points of side 8), so its memory does not grow with the point count
 SWEEP_BLOCK_ENTRIES = 4096 * 8 * 8
-# a sampler batch holds stacks of (2 dof)^2 matrices: peak memory grows as dof^2
+# a sampler batch holds stacks of (2 dof)^2 matrices: peak memory grows as dof^2,
+# to about 260 MiB for a batch of 4,096 at this cap
 VERIFY_MAX_DOF = 16
 SWEEP_CSV_HEADER = "epsilon,E_initial,E_SL,E_Sp,F_SL,F_Sp"
 RESTACK_CSV_HEADER = "level,h,cells,energy,pre_energy"
@@ -471,7 +472,11 @@ def _sampler(dof: int, seed: int, scale: float, pointer: str) -> SymplecticSampl
     if dof > VERIFY_MAX_DOF:
         need = f"{pointer}: the sampler needs {{}} degrees of freedom"
         raise CellCapExceeded(dof, VERIFY_MAX_DOF, need)
-    return SymplecticSampler(dof, seed, scale)
+    sampler = SymplecticSampler(dof, seed, scale)
+    # --scale is the only value a sample grows with: an overflow while
+    # sampling fails there, whichever search draws the batch
+    sampler.sample_batch = _fails_at("/scale")(sampler.sample_batch)
+    return sampler
 
 
 def cmd_verify(args) -> int:

@@ -1,10 +1,14 @@
 """Randomized verification tools: symplectic sampling, bound checks, and
 cylinder embedding searches.
 
-Random symplectic matrices are drawn as exp(J A1) @ exp(J A2) with A1, A2
-independent random symmetric generators.  A single exponential of J times a
-symmetric matrix cannot reach the whole group; a product of two can.  Every
-sample is certified after construction by its symplecticity residual.
+Random symplectic matrices are drawn in Euler (Bloch-Messiah) form
+O1 @ diag(e^r, e^-r) @ O2: every symplectic matrix factors so, with O1 and
+O2 orthosymplectic (Arvind, Dutta, Mukunda & Simon 1995).  An
+orthosymplectic matrix is the real form [[X, -Y], [Y, X]] of a unitary
+X + iY, and each unitary is the Cayley image of a random Hermitian
+generator, so a batch takes one complex solve and no matrix exponential.
+Every sample is certified after construction by its symplecticity
+residual.
 """
 
 from __future__ import annotations
@@ -24,70 +28,28 @@ SAMPLE_RESIDUAL_TOL = 1e-8
 # samples drawn and reduced at once by the trace and nonsqueezing searches
 BATCH = 4096
 
-# order-13 Pade approximant of exp on [-theta, theta] in the 1-norm
-_PADE13_THETA = 5.371920351148152
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-
 
 def expm_batch(mats) -> np.ndarray:
-    """Matrix exponential of a (k, d, d) stack by scaling and squaring.
+    """Cayley map ``solve(I - x/2, I + x/2)`` of a (k, n, n) stack x.
 
-    Fixed order-13 rational approximation; each matrix is scaled by a power
-    of two into the approximant's trust radius and squared back.  Accuracy
-    for the sampler is certified downstream by the symplecticity residual.
+    This is the (1, 1) Pade approximant of exp.  It takes a skew-Hermitian x
+    to a unitary matrix, up to rounding, with one batched solve and no
+    eigensolver, and x = 0 to the identity exactly.  The name is kept
+    from the matrix exponential it replaced: the benchmark tracer
+    (``bench/tracer.py``) times ``phasemin.verify.expm_batch``, and a
+    package test pins that name.
     """
-    a = np.asarray(mats, dtype=float)
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.zeros(a.shape[0], dtype=int)
-    above = norms > _PADE13_THETA
-    squarings[above] = np.ceil(np.log2(norms[above] / _PADE13_THETA)).astype(int)
-    a = a / (2.0 ** squarings)[:, None, None]
-
-    b = _PADE13_B
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * eye
-    )
-    out = np.linalg.solve(v - u, v + u)
-    for step in range(int(squarings.max(initial=0))):
-        mask = squarings > step
-        out[mask] = out[mask] @ out[mask]
-    return out
+    half = np.asarray(mats) / 2.0
+    eye = np.eye(half.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
 
 
 class SymplecticSampler:
     """Reproducible stream of random symplectic matrices on R^(2*dof).
 
-    Generator entries are uniform on [-scale, scale] before symmetrizing;
+    Each sample is O1 @ diag(e^r, e^-r) @ O2 with squeeze exponents r and
+    the generators of O1 and O2 uniform on [-scale, scale], so the singular
+    values of a sample come in reciprocal pairs inside [e^-scale, e^scale];
     scale 0 yields identity matrices.  The stream depends only on (dof,
     seed, scale), and a batch of k consumes it exactly as k batches of one
     do.
@@ -101,13 +63,19 @@ class SymplecticSampler:
 
     def sample_batch(self, count: int) -> np.ndarray:
         """The next ``count`` samples as a (count, 2*dof, 2*dof) stack."""
-        d = 2 * self.dof
-        raw = self._rng.uniform(-self.scale, self.scale, size=(count, 2, d, d))
-        sym = (raw + raw.transpose(0, 1, 3, 2)) / 2.0
-        out = expm_batch(self._form @ sym[:, 0]) @ expm_batch(self._form @ sym[:, 1])
+        n = self.dof
+        raw = self._rng.uniform(-self.scale, self.scale, size=(count, 2 * n * n + n))
+        a, r = raw[:, : 2 * n * n].reshape(count, 2, n, n), raw[:, 2 * n * n :]
+        # i times the Hermitian generator (a + a.T)/2 + i (a - a.T)/2
+        unitary = expm_batch(1j * (a + a.mT) / 2.0 - (a - a.mT) / 2.0)
+        # the unitary X + iY acts on (x, p) as the orthosymplectic [[X, -Y], [Y, X]]
+        ortho = np.block([[unitary.real, -unitary.imag], [unitary.imag, unitary.real]])
+        squeeze = np.exp(np.concatenate([r, -r], axis=1))
+        out = (ortho[:, 0] * squeeze[:, None, :]) @ ortho[:, 1]
         residual = np.abs(out.transpose(0, 2, 1) @ self._form @ out - self._form)
         worst = float(residual.max(axis=(1, 2)).max())
-        if worst > SAMPLE_RESIDUAL_TOL:
+        # a non-finite residual fails too: NaN compares false both ways
+        if not worst <= SAMPLE_RESIDUAL_TOL:
             raise NumericalInstability(
                 f"sampled matrix failed the symplecticity check ({worst:.3e})"
             )

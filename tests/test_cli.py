@@ -882,6 +882,17 @@ def identity_problem(dof):
     }
 
 
+@pytest.mark.parametrize("kind", ["theorem", "nonsqueeze"])
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_verify_certifies_samples_squeezed_up_to_scale_5(tmp_path, capsys, kind, dof):
+    problem = write_json(tmp_path / "p.json", identity_problem(dof))
+    source = ["--dof", str(dof)] if kind == "nonsqueeze" else ["--problem", problem]
+    code, _, err = run(
+        capsys, ["verify", kind, "--scale", "5", "--trials", "1000", "--seed", "1"] + source
+    )
+    assert (code, err) == (EXIT_OK, "")
+
+
 @pytest.mark.parametrize("kind, pointer", [("nonsqueeze", "/dof"), ("theorem", "/dim")])
 @pytest.mark.parametrize("dof", [VERIFY_MAX_DOF, VERIFY_MAX_DOF + 1], ids=["cap", "cap+1"])
 def test_verify_caps_the_sampler_degrees_of_freedom(tmp_path, capsys, kind, pointer, dof):
@@ -996,6 +1007,9 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
          "/second"),
         (["theorem", "--problem", "PROBLEM", "--scale", "-1"], "/scale"),
         (["nonsqueeze", "--scale", "-1"], "/scale"),
+        # squeezes of e^1000 overflow while sampling, inside either search
+        (["theorem", "--problem", "PROBLEM", "--scale", "1e3"], "/scale"),
+        (["nonsqueeze", "--dof", "2", "--scale", "1e3"], "/scale"),
         (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
         (["nonsqueeze", "--cylinder-radius", "0"], "/cylinder-radius"),
         (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
@@ -1034,6 +1048,8 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         "ellipsoid-indefinite-second",
         "theorem-negative-scale",
         "nonsqueeze-negative-scale",
+        "theorem-scale-overflows",
+        "nonsqueeze-scale-overflows",
         "nonsqueeze-cylinder-wider-than-ball",
         "nonsqueeze-zero-cylinder",
         "nonsqueeze-infinite-ball",

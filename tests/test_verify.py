@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm as dense_expm
 
 import phasemin.verify
 from conftest import random_spd
 from phasemin.distributions import BallIndicator, QuadraticPotential, moments
 from phasemin.energy import linear_gromov_energy
-from phasemin.errors import DimensionError, NotPositiveDefinite
-from phasemin.linalg import sym_eig, symplectic_form, symplectic_residual
+from phasemin.errors import DimensionError, NotPositiveDefinite, NumericalInstability
+from phasemin.linalg import sym_eig, symplectic_residual
 from phasemin.verify import (
     SymplecticSampler,
     _cylinder_block_top,
@@ -22,17 +21,19 @@ from phasemin.verify import (
 from phasemin.williamson import symplectic_eigenvalues
 
 
-def test_expm_batch_matches_dense_reference():
+def random_skew_hermitian(rng, count, dim, size):
+    a = rng.uniform(-size, size, size=(count, dim, dim)) + 1j * rng.uniform(
+        -size, size, size=(count, dim, dim)
+    )
+    return (a - a.conj().mT) / 2.0
+
+
+@pytest.mark.parametrize("size", [1e-3, 1.0, 30.0, 1e3])
+def test_expm_batch_maps_skew_hermitian_stacks_to_unitaries(size):
     rng = np.random.default_rng(11)
-    for trial in range(60):
-        dim = int(rng.integers(2, 8))
-        scale = float(rng.uniform(0.1, 4.0))
-        a = rng.normal(size=(dim, dim)) * scale
-        expected = dense_expm(a)
-        got = expm_batch(a[None])[0]
-        np.testing.assert_allclose(
-            got, expected, rtol=1e-11, atol=1e-11 * np.abs(expected).max()
-        )
+    for dim in range(1, 7):
+        u = expm_batch(random_skew_hermitian(rng, 20, dim, size))
+        assert np.abs(u.conj().mT @ u - np.eye(dim)).max() <= 1e-13
 
 
 def test_expm_batch_stack_and_single_agree():
@@ -44,22 +45,13 @@ def test_expm_batch_stack_and_single_agree():
 
 
 def test_expm_batch_closed_forms():
-    np.testing.assert_allclose(expm_batch(np.zeros((1, 3, 3)))[0], np.eye(3))
-    w = 0.7
-    rotation = expm_batch(symplectic_form(1)[None] * w)[0]
-    expected = np.array(
-        [[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]]
-    )
-    np.testing.assert_allclose(rotation, expected, atol=1e-15)
-
-
-def test_expm_batch_large_norm_uses_squaring():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(5, 5)) * 8.0
-    expected = dense_expm(a)
-    np.testing.assert_allclose(
-        expm_batch(a[None])[0], expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max()
-    )
+    # x = 0 gives the identity exactly
+    zero = np.zeros((2, 3, 3), dtype=complex)
+    np.testing.assert_array_equal(expm_batch(zero), np.broadcast_to(np.eye(3), (2, 3, 3)))
+    for theta in (0.0, 0.7, -3.0, 1e3):
+        got = expm_batch(np.array([[[1j * theta]]]))[0, 0, 0]
+        want = (1 + 1j * theta / 2) / (1 - 1j * theta / 2)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_sampler_stream_is_reproducible():
@@ -83,10 +75,30 @@ def test_samples_are_certified_symplectic():
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("dof", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 5.0])
+def test_singular_values_pair_up_inside_the_squeeze_range(dof, scale):
+    samples = SymplecticSampler(dof, seed=dof, scale=scale).sample_batch(200)
+    values = np.linalg.svd(samples, compute_uv=False)
+    # the smallest value is known to eps times the largest, relative eps e^(2 scale)
+    rtol = 1e-13 * math.exp(2 * scale)
+    # descending values pair the largest with the smallest
+    np.testing.assert_allclose(values * values[:, ::-1], 1.0, rtol=rtol)
+    assert values.max() <= math.exp(scale) * (1 + 1e-13)
+    assert values.min() >= math.exp(-scale) * (1 - rtol)
+
+
+def test_non_finite_samples_fail_the_certificate():
+    sampler = SymplecticSampler(2, seed=0, scale=1e3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalInstability, match="nan"):
+            sampler.sample_batch(4)
+
+
 def test_zero_scale_yields_identity():
     samples = SymplecticSampler(2, seed=1, scale=0.0).sample_batch(3)
     for s in samples:
-        np.testing.assert_allclose(s, np.eye(4))
+        np.testing.assert_array_equal(s, np.eye(4))
 
 
 def test_sampler_validation():
