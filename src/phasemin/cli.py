@@ -40,13 +40,10 @@ from .distributions import (
     moments,
 )
 from .energy import (
-    MomentSpectra,
     inaccessible_fraction,
     linear_gardner_energy,
     linear_gromov_energy,
     moment_matrix,
-    sl_energy,
-    sp_energy,
     verify_map_optimality,
 )
 from .errors import (
@@ -54,6 +51,7 @@ from .errors import (
     DegenerateMoments,
     EmptyDistribution,
     NotPositiveDefinite,
+    NumericalInstability,
     PhaseMinError,
     SchemaError,
 )
@@ -124,12 +122,13 @@ def _json_report(payload) -> str:
 
 
 @contextmanager
-def _fails_at(pointer: str):
-    """A non-definite matrix or an overflow in the block fails at ``pointer``."""
+def _fails_at(pointer: str, failures=NotPositiveDefinite):
+    """An error of the ``failures`` type, by default a non-definite matrix,
+    or an overflow in the block fails at ``pointer``."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except NotPositiveDefinite as err:
+    except failures as err:
         raise SchemaError(pointer, str(err)) from None
     except ArithmeticError:
         raise SchemaError(pointer, "a computed value is beyond the float range") from None
@@ -308,17 +307,16 @@ def _potential_stack(first: QuadraticPotential, matrix: np.ndarray, entries: lis
     return quadratic_potential(first.offset, first.minimum, stack, "/template/potential/V")
 
 
-def _sweep_point(m, potential, values: list, spectra: MomentSpectra) -> list:
-    """The CSV rows of the sweep points ``values``, whose potentials are
+def _sweep_point(m, potential, values: list) -> list:
+    """The CSV lines of the sweep points ``values``, whose potentials are
     ``potential``: one matrix for one point, or a stack with one per point."""
     initial = moment_energy(m, potential)
-    moment_matrix(m, potential)
-    sl = sl_energy(m, potential, spectra.log_det)
-    spectrum_v = symplectic_eigenvalues(potential.decomposition)
-    sp = sp_energy(m, potential, spectrum_v, spectra.symplectic)
+    sl = linear_gardner_energy(m, potential).energy
+    sp = linear_gromov_energy(m, potential).energy
     columns = [np.ravel(column).tolist() for column in (initial, sl, sp)]
     return [
-        (value, e, a, b, inaccessible_fraction(a, e), inaccessible_fraction(b, e))
+        ",".join(_fmt(x) for x in (value, e, a, b, inaccessible_fraction(a, e),
+                                   inaccessible_fraction(b, e)))
         for value, e, a, b in zip(values, *columns)
     ]
 
@@ -343,29 +341,24 @@ def cmd_sweep(args) -> int:
     problem.dof  # the Sp energies need an even dimension: fail at /template/dim
     with _fails_at("/template/distribution"):
         m = moments(problem.distribution)
-    spectra = MomentSpectra(m)
     matrix = np.array(rows, dtype=float)
     block = max(1, SWEEP_BLOCK_ENTRIES // matrix.size)
 
     def block_rows(points):
         potential = _potential_stack(problem.potential, matrix, entries, points)
-        return _sweep_point(m, potential, points, spectra)
+        return _sweep_point(m, potential, points)
 
     with _fails_at("/template/potential/V"):
         # the first point reuses the potential the template was read with
-        out = _sweep_point(m, problem.potential, values[:1], spectra)
+        lines = [SWEEP_CSV_HEADER] + _sweep_point(m, problem.potential, values[:1])
         for start in range(1, len(values), block):
             points = values[start:start + block]
             try:
-                out += block_rows(points)
+                lines += block_rows(points)
             except (PhaseMinError, ArithmeticError):
                 # the first failing point wins, whatever its failure
                 for value in points:
-                    out += block_rows([value])
-
-    lines = [SWEEP_CSV_HEADER]
-    for row in out:
-        lines.append(",".join(_fmt(x) for x in row))
+                    lines += block_rows([value])
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -474,8 +467,9 @@ def _sampler(dof: int, seed: int, scale: float, pointer: str) -> SymplecticSampl
         raise CellCapExceeded(dof, VERIFY_MAX_DOF, need)
     sampler = SymplecticSampler(dof, seed, scale)
     # --scale is the only value a sample grows with: an overflow while
-    # sampling fails there, whichever search draws the batch
-    sampler.sample_batch = _fails_at("/scale")(sampler.sample_batch)
+    # sampling, or a sample that fails its symplecticity check, fails there,
+    # whichever search draws the batch
+    sampler.sample_batch = _fails_at("/scale", NumericalInstability)(sampler.sample_batch)
     return sampler
 
 

@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DimensionError, EmptyDistribution
 from .linalg import (
-    EigenDecomposition, require_definite, require_semidefinite, sym_eig, symmetrize
+    MAP_RIDGE, EigenDecomposition, require_definite, require_semidefinite, sym_eig, symmetrize
 )
+from .williamson import symplectic_eigenvalues
 
 
 def sphere_surface_area(k: int) -> float:
@@ -52,7 +53,8 @@ class QuadraticPotential:
     energy at the minimum.  Evaluating at z = minimum returns offset exactly.
     ``decomposition`` is the eigendecomposition of ``matrix``.  A (..., d, d)
     stack of matrices holds one potential per matrix, all with the same
-    offset and minimum; the energies take it, ``evaluate`` does not.
+    offset and minimum; the energies take it, ``evaluate`` and
+    ``map_decomposition`` do not.
     """
 
     offset: float
@@ -72,6 +74,16 @@ class QuadraticPotential:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    @cached_property
+    def map_decomposition(self) -> EigenDecomposition:
+        """Decomposition of the definite matrix an optimal map is built from,
+        computed on first read: V's, or, when V is singular, that of V plus
+        ``MAP_RIDGE`` times its largest entry magnitude (at least 1)."""
+        if self.decomposition.definite:
+            return self.decomposition
+        scale = max(1.0, float(np.abs(self.matrix).max()))
+        return sym_eig(self.matrix + MAP_RIDGE * scale * np.eye(self.dim))
 
     def evaluate(self, z) -> np.ndarray:
         """Potential values at one point or a stack of points (last axis = dim)."""
@@ -100,6 +112,12 @@ class Moments:
     def decomposition(self) -> EigenDecomposition:
         """Eigendecomposition of ``second_moment``, computed on first read."""
         return sym_eig(self.second_moment)
+
+    @cached_property
+    def symplectic_spectrum(self) -> np.ndarray:
+        """Descending symplectic spectrum of ``second_moment``, computed on
+        first read."""
+        return symplectic_eigenvalues(self.decomposition)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,14 +28,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Moments, QuadraticPotential, moment_energy
+from .distributions import Moments, QuadraticPotential
 from .errors import DegenerateMoments, DimensionError, NumericalInstability
-from .linalg import EigenDecomposition, sym_eig
+from .linalg import EigenDecomposition
 from .williamson import symplectic_eigenvalues, williamson
-
-# ridge added to a singular potential matrix when a concrete near-optimal map
-# is requested; the energy value itself never uses it
-MAP_RIDGE = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,51 +51,29 @@ class AffineMap:
 class EnergyReport:
     """Minimal energy over a map group; the minimizing map is built on first read.
 
-    ``map_potential`` is the eigendecomposition of the definite matrix the
-    map is built from: V, or V with a ridge when V is singular.  On Sp
-    reports ``potential_spectrum`` and ``moment_spectrum`` are the
-    descending symplectic spectra of V and H used in the bound formula; SL
-    reports carry None there, because the SL bound does not use them.
+    ``energy`` is a float, or an array with one energy per matrix of a
+    stacked potential; only a one-matrix report has a ``map``, built from
+    the potential's ``map_decomposition``.  On Sp reports
+    ``potential_spectrum`` and ``moment_spectrum`` are the descending
+    symplectic spectra of V and H used in the bound formula; SL reports
+    carry None there, because the SL bound does not use them.
     """
 
     energy: float
     group: str
     moments: Moments
     potential: QuadraticPotential
-    map_potential: EigenDecomposition
     potential_spectrum: Optional[np.ndarray] = None
     moment_spectrum: Optional[np.ndarray] = None
-
-    @property
-    def fraction(self) -> Optional[float]:
-        """Minimal over initial energy, or None when the initial energy vanishes."""
-        return inaccessible_fraction(self.energy, moment_energy(self.moments, self.potential))
 
     @cached_property
     def map(self) -> AffineMap:
         build = sl_optimal_map if self.group == "SL" else sp_optimal_map
         return AffineMap(
-            matrix=build(self.map_potential, self.moments.decomposition),
+            matrix=build(self.potential.map_decomposition, self.moments.decomposition),
             center=self.moments.center.copy(),
             target=self.potential.minimum.copy(),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class MomentSpectra:
-    """log det H and the descending symplectic spectrum of H, as
-    ``linear_gardner_energy`` and ``linear_gromov_energy`` compute them, each
-    computed on first read, so that the potentials of a sweep share them."""
-
-    moments: Moments
-
-    @cached_property
-    def log_det(self) -> float:
-        return np.linalg.slogdet(self.moments.second_moment)[1]
-
-    @cached_property
-    def symplectic(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.moments.decomposition)
 
 
 class BumpOnTailSplit(NamedTuple):
@@ -123,16 +97,6 @@ def moment_matrix(m: Moments, potential: QuadraticPotential) -> np.ndarray:
             "the distribution does not span phase space"
         )
     return m.second_moment
-
-
-def _map_potential(potential: QuadraticPotential) -> EigenDecomposition:
-    """Decomposition of V when it is definite, else of V with a small ridge,
-    to build a map from."""
-    if potential.decomposition.definite:
-        return potential.decomposition
-    v = potential.matrix
-    scale = max(1.0, float(np.abs(v).max()))
-    return sym_eig(v + MAP_RIDGE * scale * np.eye(v.shape[0]))
 
 
 def inaccessible_fraction(energy: float, initial: float) -> Optional[float]:
@@ -185,41 +149,25 @@ def _per_matrix(energy, *columns):
     return np.array([energy(*row) for row in zip(*(column.tolist() for column in columns))])
 
 
-def sl_energy(m: Moments, potential: QuadraticPotential, log_det_h: float):
-    """N*offset + 2n * det(V H)^(1/(2n)), or N*offset where V is singular,
-    given log det H: a float, or an array with one energy per matrix of a
-    stacked potential.  The last steps run on Python floats for each matrix,
-    so each energy has the same bits in a stack as alone."""
+def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
+    """Minimal energy over affine maps with unit-determinant linear part.
+
+    The value is N*offset + 2n * det(V H)^(1/(2n)), or N*offset where V is
+    singular: the infimum is then approached but not attained, and the
+    report's map is built from a slightly ridged V.  The potential may hold
+    a stack of matrices.  The last steps run on Python floats for each
+    matrix, so each energy has the same bits in a stack as alone.
+    """
+    h = moment_matrix(m, potential)
     dim = potential.dim
     base = potential.offset * m.mass
-    mean_log = (np.linalg.slogdet(potential.matrix)[1] + log_det_h) / dim
-    return _per_matrix(
+    mean_log = (np.linalg.slogdet(potential.matrix)[1] + np.linalg.slogdet(h)[1]) / dim
+    energy = _per_matrix(
         lambda x, definite: float(base + dim * math.exp(x)) if definite else float(base),
         mean_log,
         potential.decomposition.definite,
     )
-
-
-def sp_energy(m: Moments, potential: QuadraticPotential, spectrum_v, spectrum_h):
-    """N*offset + 2 * sum_k dV_k dH_(n+1-k), given the descending symplectic
-    spectra of V (one per matrix of a stacked potential) and of H: a float,
-    or an array with one energy per matrix."""
-    base = potential.offset * m.mass
-    return _per_matrix(
-        lambda pairing: float(base + 2 * pairing), anti_sorted_pairing(spectrum_v, spectrum_h)
-    )
-
-
-def linear_gardner_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
-    """Minimal energy over affine maps with unit-determinant linear part.
-
-    The value is N*offset + 2n * det(V H)^(1/(2n)).  For singular V the
-    determinant vanishes and the infimum N*offset is approached but not
-    attained; the report's map is then built from a slightly ridged V.
-    """
-    h = moment_matrix(m, potential)
-    energy = sl_energy(m, potential, np.linalg.slogdet(h)[1])
-    return EnergyReport(energy, "SL", m, potential, _map_potential(potential))
+    return EnergyReport(energy, "SL", m, potential)
 
 
 def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyReport:
@@ -228,15 +176,17 @@ def linear_gromov_energy(m: Moments, potential: QuadraticPotential) -> EnergyRep
     The value is N*offset + 2 * sum_k dV_k dH_(n+1-k) over the descending
     symplectic spectra.  Semidefinite V is allowed: its zero symplectic
     eigenvalues simply drop the largest moments from the sum, and the
-    report's map is built from a slightly ridged V.
+    report's map is built from a slightly ridged V.  The potential may hold
+    a stack of matrices.
     """
     moment_matrix(m, potential)
     spectrum_v = symplectic_eigenvalues(potential.decomposition)
-    spectrum_h = symplectic_eigenvalues(m.decomposition)
-    energy = sp_energy(m, potential, spectrum_v, spectrum_h)
-    return EnergyReport(
-        energy, "Sp", m, potential, _map_potential(potential), spectrum_v, spectrum_h
+    spectrum_h = m.symplectic_spectrum
+    base = potential.offset * m.mass
+    energy = _per_matrix(
+        lambda pairing: float(base + 2 * pairing), anti_sorted_pairing(spectrum_v, spectrum_h)
     )
+    return EnergyReport(energy, "Sp", m, potential, spectrum_v, spectrum_h)
 
 
 def verify_map_optimality(
@@ -270,7 +220,8 @@ def degenerate_limit(
     with eps, extrapolates the last two points linearly to eps = 0, and
     validates the limit against the direct semidefinite formula within
     ``agreement_rtol``.  Disagreement or non-monotone energies raise
-    NumericalInstability.
+    NumericalInstability.  The result is the report of the smallest ridge,
+    with its map and spectra, carrying the extrapolated energy.
 
     Linear extrapolation certifies the limit when the ridge enters the
     energy to first order, which holds for the symplectic group whenever
@@ -308,7 +259,7 @@ def degenerate_limit(
             f"formula {direct.energy!r} beyond relative tolerance {agreement_rtol}"
         )
     energy = float(max(extrapolated, potential.offset * m.mass))
-    return replace(direct, energy=energy, map_potential=reports[-1].map_potential)
+    return replace(reports[-1], energy=energy)
 
 
 def bump_on_tail_1d(

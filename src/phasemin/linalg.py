@@ -21,6 +21,9 @@ PD_RTOL = 1e-12
 PSD_RTOL = 1e-12
 # symplectic eigenvalues this small relative to |M| are reported as exact zeros
 ZERO_CLAMP_RTOL = 1e-10
+# ridge added to a singular potential matrix to build a near-optimal map from;
+# the energy values never use it
+MAP_RIDGE = 1e-8
 
 
 def as_square(a) -> np.ndarray:

@@ -28,11 +28,13 @@ from phasemin.distributions import (
     QuadraticPotential,
     ball_volume,
     density,
+    moment_energy,
     moments,
 )
 from phasemin.energy import (
     bump_on_tail_1d,
     degenerate_limit,
+    inaccessible_fraction,
     linear_gardner_energy,
     linear_gromov_energy,
     verify_map_optimality,
@@ -131,13 +133,16 @@ def test_criterion_2_ball_formulas_and_brute_force(checklist):
     initial = 3.0 + eps**2
     sl = linear_gardner_energy(m, pot)
     sp = linear_gromov_energy(m, pot)
+    sl_fraction, sp_fraction = (
+        inaccessible_fraction(r.energy, moment_energy(m, pot)) for r in (sl, sp)
+    )
     sl_expected = 4.0 * math.sqrt(eps)
     sp_expected = 2.0 * (1.0 + eps)
     formula_err = max(
         abs(sl.energy - sl_expected) / sl_expected,
         abs(sp.energy - sp_expected) / sp_expected,
-        abs(sl.fraction - sl_expected / initial) / (sl_expected / initial),
-        abs(sp.fraction - sp_expected / initial) / (sp_expected / initial),
+        abs(sl_fraction - sl_expected / initial) / (sl_expected / initial),
+        abs(sp_fraction - sp_expected / initial) / (sp_expected / initial),
     )
     map_gap = max(
         verify_map_optimality(sl, m, pot), verify_map_optimality(sp, m, pot)

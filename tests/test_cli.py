@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from phasemin.cli import (
     main,
 )
 from phasemin.distributions import moment_energy, moments
-from phasemin.energy import linear_gardner_energy, linear_gromov_energy
+from phasemin.energy import inaccessible_fraction, linear_gardner_energy, linear_gromov_energy
 from phasemin.linalg import symplectic_residual
 from phasemin.problems import parse_problem
 from phasemin.restack import DEFAULT_CELL_CAP
@@ -133,13 +134,13 @@ def test_bounds_output_file_matches_stdout(tmp_path, capsys):
 
 def test_bounds_computes_the_initial_energy_once(tmp_path, capsys, monkeypatch):
     calls = []
-    for module in (phasemin.cli, phasemin.energy):
+    energy = phasemin.cli.moment_energy
 
-        def counting(m, potential, energy=module.moment_energy):
-            calls.append(potential)
-            return energy(m, potential)
+    def counting(m, potential):
+        calls.append(potential)
+        return energy(m, potential)
 
-        monkeypatch.setattr(module, "moment_energy", counting)
+    monkeypatch.setattr(phasemin.cli, "moment_energy", counting)
     path = write_json(tmp_path / "p.json", gaussian_problem(0.25))
     code, out, _ = run(capsys, ["bounds", path])
     assert code == EXIT_OK
@@ -294,9 +295,9 @@ def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     blocks = []
     evaluate = phasemin.cli._sweep_point
 
-    def counting(m, potential, values, spectra):
+    def counting(m, potential, values):
         blocks.append(list(values))
-        return evaluate(m, potential, values, spectra)
+        return evaluate(m, potential, values)
 
     monkeypatch.setattr(phasemin.cli, "_sweep_point", counting)
     # two points per stacked block at side 4
@@ -309,6 +310,25 @@ def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     assert [len(block) for block in blocks] == [1, 2, 2]
     evaluated = [value for block in blocks for value in block]
     np.testing.assert_allclose(evaluated, [0.2, 0.65, 1.1, 1.55, 2.0], rtol=1e-12)
+
+
+def test_sweep_holds_each_row_once_as_its_csv_line(tmp_path, monkeypatch):
+    # stacks of 1,024 points keep the batched arrays small beside the rows
+    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 1024 * 16)
+    points = 20_000
+    path = write_json(tmp_path / "s.json", sweep_spec(0.1, 3.0, points))
+    target = tmp_path / "curves.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", path, "-o", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(target.read_text(encoding="utf-8").splitlines()) == points + 1
+    # the lines, the joined text and its encoding take about 440 B per point;
+    # a second copy of each row, as a tuple of floats, would take about 650 B
+    assert peak / points < 540
 
 
 def test_sweep_rows_match_per_point_evaluation(tmp_path, capsys):
@@ -329,7 +349,8 @@ def test_sweep_rows_match_per_point_evaluation(tmp_path, capsys):
         sl = linear_gardner_energy(m, problem.potential)
         sp = linear_gromov_energy(m, problem.potential)
         initial = moment_energy(m, problem.potential)
-        row = (eps, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
+        row = (eps, initial, sl.energy, sp.energy, inaccessible_fraction(sl.energy, initial),
+               inaccessible_fraction(sp.energy, initial))
         expected.append(",".join(f"{x:.17g}" for x in row))
     assert out == "\n".join(expected) + "\n"
 
@@ -354,7 +375,8 @@ def per_point_rows(template, epsilons):
         sl = linear_gardner_energy(m, problem.potential)
         sp = linear_gromov_energy(m, problem.potential)
         initial = moment_energy(m, problem.potential)
-        row = (eps, initial, sl.energy, sp.energy, sl.fraction, sp.fraction)
+        row = (eps, initial, sl.energy, sp.energy, inaccessible_fraction(sl.energy, initial),
+               inaccessible_fraction(sp.energy, initial))
         lines.append(",".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"
 
@@ -530,7 +552,8 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
 # (eigh, eigvalsh, complex eigh) matrices decomposed per command; a stacked
 # call counts each matrix of its stack.  The real eigh calls decompose each
 # input matrix once: the covariance or ellipsoid matrix, V and H (each sweep
-# point's V); restack needs no H.  The eigvalsh calls are the Gram spectra of
+# point's V); restack needs no H.  A singular V adds one more: the ridged V
+# that both maps are built from.  The eigvalsh calls are the Gram spectra of
 # V and H (each sweep point's V, and H once per sweep).  The complex eigh
 # calls are the Hermitian kernels of the two Williamson transforms that the
 # Sp map is built from.
@@ -539,6 +562,7 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
     [
         (["bounds", "GAUSSIAN"], (3, 2, 2)),
         (["bounds", "ELLIPSOID"], (3, 2, 2)),
+        (["bounds", "SINGULAR"], (4, 2, 2)),
         (["sweep", "SWEEP"], (7, 6, 0)),
         (["restack", "GAUSSIAN", "--levels", "0"], (2, 0, 0)),
         (["verify", "theorem", "--problem", "GAUSSIAN", "--trials", "10"], (3, 2, 2)),
@@ -546,7 +570,7 @@ def test_sweep_builds_no_maps_and_bounds_builds_one_of_each(
           "--second", "[[1.0, 0.0], [0.0, 1.0]]"], (2, 2, 0)),
         (["verify", "nonsqueeze", "--dof", "2", "--trials", "10"], (0, 0, 0)),
     ],
-    ids=["bounds-gaussian", "bounds-ellipsoid", "sweep", "restack-gaussian",
+    ids=["bounds-gaussian", "bounds-ellipsoid", "bounds-singular", "sweep", "restack-gaussian",
          "verify-theorem", "verify-ellipsoid", "verify-nonsqueeze"],
 )
 def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, counts):
@@ -557,9 +581,12 @@ def test_each_matrix_is_decomposed_once(tmp_path, capsys, monkeypatch, argv, cou
         "matrix": gaussian["distribution"]["covariance"],
         "center": [0.0] * 4,
     }
+    singular = gaussian_problem(0.5)
+    singular["potential"]["V"] = np.diag([1.0, 0.0, 1.0, 0.0]).tolist()
     files = {
         "GAUSSIAN": write_json(tmp_path / "g.json", gaussian),
         "ELLIPSOID": write_json(tmp_path / "e.json", ellipsoid),
+        "SINGULAR": write_json(tmp_path / "v.json", singular),
         "SWEEP": write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5)),
     }
     calls = []
@@ -1010,6 +1037,10 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         # squeezes of e^1000 overflow while sampling, inside either search
         (["theorem", "--problem", "PROBLEM", "--scale", "1e3"], "/scale"),
         (["nonsqueeze", "--dof", "2", "--scale", "1e3"], "/scale"),
+        # squeezes of e^10 stay in range, but the samples fail their
+        # symplecticity check
+        (["theorem", "--problem", "PROBLEM", "--scale", "10"], "/scale"),
+        (["nonsqueeze", "--dof", "1", "--scale", "10"], "/scale"),
         (["nonsqueeze", "--cylinder-radius", "2"], "/cylinder-radius"),
         (["nonsqueeze", "--cylinder-radius", "0"], "/cylinder-radius"),
         (["nonsqueeze", "--ball-radius", "inf"], "/ball-radius"),
@@ -1050,6 +1081,8 @@ IDENTITY_4 = json.dumps(np.eye(4).tolist())
         "nonsqueeze-negative-scale",
         "theorem-scale-overflows",
         "nonsqueeze-scale-overflows",
+        "theorem-samples-fail-their-certificate",
+        "nonsqueeze-samples-fail-their-certificate",
         "nonsqueeze-cylinder-wider-than-ball",
         "nonsqueeze-zero-cylinder",
         "nonsqueeze-infinite-ball",

@@ -26,15 +26,13 @@ from phasemin.distributions import (
 )
 from phasemin.energy import (
     AffineMap,
-    MomentSpectra,
     anti_sorted_pairing,
     bump_on_tail_1d,
     degenerate_limit,
+    inaccessible_fraction,
     linear_gardner_energy,
     linear_gromov_energy,
-    sl_energy,
     sl_optimal_map,
-    sp_energy,
     sp_optimal_map,
     verify_map_optimality,
 )
@@ -69,7 +67,7 @@ def test_gaussian_family_volume_preserving_energy(eps):
     assert report.group == "SL"
     assert report.energy == pytest.approx(4.0 * math.sqrt(2.0 * eps), rel=1e-12)
     assert moment_energy(m, pot) == pytest.approx(6.0 + eps**2, rel=1e-14)
-    assert report.fraction == pytest.approx(
+    assert inaccessible_fraction(report.energy, moment_energy(m, pot)) == pytest.approx(
         4.0 * math.sqrt(2.0 * eps) / (6.0 + eps**2), rel=1e-12
     )
     assert verify_map_optimality(report, m, pot) <= 1e-10
@@ -102,10 +100,10 @@ def test_normalized_ball_closed_forms(eps):
     assert initial == pytest.approx(3.0 + eps**2, rel=1e-12)
     assert sl.energy == pytest.approx(4.0 * math.sqrt(eps), rel=1e-12)
     assert sp.energy == pytest.approx(2.0 * (1.0 + eps), rel=1e-12)
-    assert sl.fraction == pytest.approx(
+    assert inaccessible_fraction(sl.energy, initial) == pytest.approx(
         4.0 * math.sqrt(eps) / (3.0 + eps**2), rel=1e-12
     )
-    assert sp.fraction == pytest.approx(
+    assert inaccessible_fraction(sp.energy, initial) == pytest.approx(
         (2.0 + 2.0 * eps) / (3.0 + eps**2), rel=1e-12
     )
 
@@ -323,11 +321,10 @@ def test_stacked_energies_are_each_matrix_energies_bit_for_bit(seed, dof, spread
     m = moments(Gaussian(1.5, rng.normal(size=dim), h))
     minimum = rng.normal(size=dim)
     stack = QuadraticPotential(0.3, minimum, vs)
-    spectra = MomentSpectra(m)
     initial = moment_energy(m, stack)
-    sl = sl_energy(m, stack, spectra.log_det)
-    spectrum_v = symplectic_eigenvalues(stack.decomposition)
-    sp = sp_energy(m, stack, spectrum_v, spectra.symplectic)
+    sl = linear_gardner_energy(m, stack).energy
+    sp_report = linear_gromov_energy(m, stack)
+    sp, spectrum_v = sp_report.energy, sp_report.potential_spectrum
     base, shift, hh = 0.3 * m.mass, m.center - minimum, m.second_moment
     for k in range(count + 1):
         one = QuadraticPotential(0.3, minimum, vs[k])
@@ -339,7 +336,7 @@ def test_stacked_energies_are_each_matrix_energies_bit_for_bit(seed, dof, spread
         expected = (
             float(base + np.trace(v @ hh) + m.mass * shift @ v @ shift),
             float(base + dim * math.exp(mean_log)) if one.decomposition.definite else base,
-            float(base + 2 * float(np.dot(spectra.symplectic, spectrum[::-1]))),
+            float(base + 2 * float(np.dot(m.symplectic_spectrum, spectrum[::-1]))),
         )
         assert one.decomposition.definite == (k < count)
         assert np.array_equal(spectrum_v[k], spectrum)
@@ -432,7 +429,7 @@ def test_fraction_is_none_when_initial_energy_vanishes():
     pot = QuadraticPotential(0.0, np.zeros(2), np.zeros((2, 2)))
     report = linear_gardner_energy(m, pot)
     assert report.energy == 0.0
-    assert report.fraction is None
+    assert inaccessible_fraction(report.energy, moment_energy(m, pot)) is None
 
 
 def test_singular_moments_are_rejected():

@@ -1,7 +1,8 @@
 """Package layout: submodule imports bind modules, the package keeps the
-names the benchmark imports from it, and the benchmark's tracer finds every
-name it wraps."""
+names the benchmark imports from it, the benchmark's tracer finds every
+name it wraps, and no module imports a name it never uses."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -55,3 +56,21 @@ def test_package_keeps_the_names_bench_reference_imports():
     assert Moments.__module__ == "phasemin.distributions"
     assert QuadraticPotential.__module__ == "phasemin.distributions"
     assert SymplecticSampler.__module__ == "phasemin.verify"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package keeps its public names in __init__.py, which uses none of them
+    import phasemin
+
+    for path in sorted(Path(phasemin.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
