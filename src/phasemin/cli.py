@@ -33,6 +33,7 @@ from .distributions import (
     BallIndicator,
     EllipsoidIndicator,
     Grid,
+    Mixture,
     Particles,
     QuadraticPotential,
     density,
@@ -385,16 +386,27 @@ def _restack_box(problem: Problem):
     )
 
 
+def _particles_at(f, pointer="/distribution"):
+    """The pointer of ``f`` or of its first component, at any depth, that
+    holds particles; None if none does."""
+    if isinstance(f, Particles):
+        return pointer
+    for k, c in enumerate(f.components if isinstance(f, Mixture) else ()):
+        found = _particles_at(c, f"{pointer}/components/{k}")
+        if found:
+            return found
+    return None
+
+
 def cmd_restack(args) -> int:
     problem = load_problem(args.problem)
     if problem.dim > RESTACK_MAX_DIM:
         raise SchemaError(
             "/dim", f"restacking is limited to dimension <= {RESTACK_MAX_DIM}"
         )
-    if isinstance(problem.distribution, Particles):
-        raise SchemaError(
-            "/distribution/type", "particle distributions cannot be rasterized"
-        )
+    particles = _particles_at(problem.distribution)
+    if particles:
+        raise SchemaError(f"{particles}/type", "particle distributions cannot be rasterized")
     levels = [integer_text(t, "/levels") for t in args.levels.split(",") if t.strip()]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise SchemaError("/levels", "levels must be strictly increasing")
@@ -405,7 +417,7 @@ def cmd_restack(args) -> int:
     lower, upper = _restack_box(problem)
 
     def cell_energy(points):
-        # the einsum of QuadraticPotential.evaluate overflows to inf without raising
+        # quadratic_form, under evaluate, overflows to inf or nan without raising
         energies = problem.potential.evaluate(points)
         if not np.isfinite(energies).all():
             raise SchemaError("/potential/V", "a computed value is beyond the float range")

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, EmptyDistribution
 from .linalg import (
-    MAP_RIDGE, EigenDecomposition, require_definite, require_semidefinite, sym_eig, symmetrize
+    MAP_RIDGE, EigenDecomposition, quadratic_form, require_definite, require_semidefinite,
+    sym_eig, symmetrize,
 )
 from .williamson import symplectic_eigenvalues
 
@@ -88,7 +89,7 @@ class QuadraticPotential:
     def evaluate(self, z) -> np.ndarray:
         """Potential values at one point or a stack of points (last axis = dim)."""
         dz = np.asarray(z, dtype=float) - self.minimum
-        return self.offset + np.einsum("...i,ij,...j->...", dz, self.matrix, dz)
+        return self.offset + quadratic_form(dz, self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,8 +403,7 @@ def _(f: Gaussian):
 
     def evaluate(points):
         dz = np.atleast_2d(np.asarray(points, dtype=float)) - f.mean
-        quad = np.einsum("ki,ij,kj->k", dz, inverse, dz)
-        return f.weight * np.exp(log_norm - 0.5 * quad)
+        return f.weight * np.exp(log_norm - 0.5 * quadratic_form(dz, inverse))
 
     return evaluate
 
@@ -423,8 +423,7 @@ def _(f: BallIndicator):
 def _(f: EllipsoidIndicator):
     def evaluate(points):
         dz = np.atleast_2d(np.asarray(points, dtype=float)) - f.center
-        quad = np.einsum("ki,ij,kj->k", dz, f.matrix, dz)
-        return np.where(quad <= 1.0, f.amplitude, 0.0)
+        return np.where(quadratic_form(dz, f.matrix) <= 1.0, f.amplitude, 0.0)
 
     return evaluate
 

@@ -135,6 +135,14 @@ def require_semidefinite(dec: EigenDecomposition, name: str) -> EigenDecompositi
     return dec
 
 
+def quadratic_form(dz, matrix) -> np.ndarray:
+    """dz.T @ matrix @ dz for each point of a (..., d) stack of points: one
+    matrix product, then a row dot.  Values beyond the float range come out
+    inf or nan rather than raising; at dz = 0 the value is exactly 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("...i,...i->...", dz @ matrix, dz)
+
+
 def symplectic_form(dof: int) -> np.ndarray:
     """The standard symplectic form J on R^(2*dof).
 

@@ -1173,6 +1173,9 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
          "/potential/V"),
         # the density at the mean is beyond the float range
         (["restack", "SHARP_GAUSSIAN", "--levels", "0"], "/distribution"),
+        # dz @ V overflows inside the matrix product of the quadratic form
+        (["restack", "STIFF_WIDE_BALL", "--levels", "0,1", "--base-spacing", "1e9"],
+         "/potential/V"),
     ],
     ids=[
         "bounds-ball-volume",
@@ -1188,6 +1191,7 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
         "restack-ball-radius",
         "restack-cell-energy",
         "restack-gaussian-density",
+        "restack-cell-energy-product",
     ],
 )
 def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, argv, pointer):
@@ -1202,11 +1206,38 @@ def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, arg
             tmp_path / "stiff_ball.json",
             {**wide_ball_problem(1e5), "potential": stiff_problem()["potential"]},
         ),
+        "STIFF_WIDE_BALL": write_json(
+            tmp_path / "stiff_wide_ball.json",
+            {**wide_ball_problem(1e10), "potential": stiff_problem()["potential"]},
+        ),
     }
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == EXIT_SCHEMA
     assert out == ""
     assert err == f"schema error at {pointer}: a computed value is beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "distribution, half_width, spacing",
+    [
+        ({"type": "ellipsoid", "matrix": [[1e300, 0.0], [0.0, 1e300]], "center": [0.0, 0.0]},
+         1e10, 1e9),
+        ({"type": "gaussian", "weight": 1.0, "mean": [0.0, 0.0],
+          "covariance": [[1e-300, 0.0], [0.0, 1e-300]]}, 1e200, 1e199),
+    ],
+    ids=["ellipsoid-indicator", "gaussian-exponent"],
+)
+def test_a_density_whose_quadratic_form_overflows_is_zero_there(
+    tmp_path, capsys, distribution, half_width, spacing
+):
+    # dz @ M overflows at every cell midpoint: the ellipsoid excludes the cell
+    # and the Gaussian underflows to zero, so no cell carries density
+    spec = {**wide_ball_problem(), "distribution": distribution,
+            "box": {"lo": [-half_width] * 2, "hi": [half_width] * 2}}
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, err = run(capsys, ["restack", path, "--levels", "0", "--base-spacing", repr(spacing)])
+    assert (code, out) == (EXIT_DEGENERATE, "")
+    assert err == "degenerate input: no cell carries positive density\n"
 
 
 # finite entries whose larger eigenvalue, 2.7e308, is beyond the float range
@@ -1238,6 +1269,16 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
     return spec
 
 
+GAUSSIAN_1 = {"type": "gaussian", "weight": 1.0, "mean": [0.0], "covariance": [[0.1]]}
+BALL_1 = {"type": "ball", "radius": 0.5, "center": [0.0]}
+PARTICLES_1 = {"type": "particles", "points": [[0.25]], "weights": [1.0]}
+
+
+def restack_mixture(*components):
+    return {**uniform_interval_problem(),
+            "distribution": {"type": "mixture", "components": list(components)}}
+
+
 @pytest.mark.parametrize(
     "argv, spec, pointer",
     [
@@ -1261,6 +1302,14 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         (["restack", "--levels", "0", "--base-spacing", "0"],
          uniform_interval_problem(), "/base-spacing"),
         (["restack", "--levels", "-1"], uniform_interval_problem(), "/levels"),
+        (["restack", "--levels", "0"], restack_mixture(GAUSSIAN_1, PARTICLES_1),
+         "/distribution/components/1/type"),
+        (["restack", "--levels", "0"],
+         restack_mixture(GAUSSIAN_1, {"type": "mixture", "components": [BALL_1, PARTICLES_1]}),
+         "/distribution/components/1/components/1/type"),
+        (["restack", "--levels", "0"],
+         restack_mixture({"type": "mixture", "components": [PARTICLES_1]}, PARTICLES_1),
+         "/distribution/components/0/components/0/type"),
         (["sweep"], [sweep_with()], "/"),
         (["sweep"], {**sweep_with(), "template": []}, "/template"),
         (["sweep"], {**sweep_with(), "range": 3}, "/range"),
@@ -1288,6 +1337,9 @@ def sweep_with(entry="epsilon**2", start=0.5, **template_fields):
         "sweep-template-grid-file",
         "restack-zero-base-spacing",
         "restack-negative-level",
+        "restack-mixture-with-particles",
+        "restack-nested-mixture-with-particles",
+        "restack-first-of-two-particle-components",
         "sweep-file-holds-a-list",
         "sweep-template-not-an-object",
         "sweep-range-not-an-object",

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
+from phasemin.distributions import QuadraticPotential
 from phasemin.errors import DimensionError, NotPositiveDefinite, NotSemidefinite
 from phasemin.linalg import (
     as_square,
+    quadratic_form,
     require_definite,
     require_semidefinite,
     sym_eig,
@@ -82,6 +84,42 @@ def test_definiteness_checks_read_the_decomposition_and_run_no_eigensolver(monke
     assert require_semidefinite(rounding, "M") is rounding
     with pytest.raises(NotSemidefinite, match="^M has negative eigenvalue -1.0"):
         require_semidefinite(negative, "M")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+@pytest.mark.parametrize("shape", [(), (9,), (3, 5)], ids=["point", "stack", "stack-of-stacks"])
+def test_quadratic_form_matches_the_three_operand_einsum(shape, dim):
+    # magnitudes over twelve decades, and an indefinite matrix, so that the
+    # terms of a sum cancel
+    rng = np.random.default_rng(dim)
+    dz = rng.normal(size=shape + (dim,)) * 10.0 ** rng.uniform(-6, 6, size=shape + (dim,))
+    m = rng.normal(size=(dim, dim))
+    m += m.T
+    expected = np.einsum("...i,ij,...j->...", dz, m, dz)
+    # each sum rounds once per term, so both routes stay within a few units
+    # of roundoff of the sum of the terms' magnitudes
+    bound = 8 * np.finfo(float).eps * np.einsum("...i,ij,...j->...", abs(dz), abs(m), abs(dz))
+    values = quadratic_form(dz, m)
+    assert values.shape == shape
+    assert np.all(abs(values - expected) <= bound)
+
+
+def test_quadratic_form_is_exactly_zero_at_zero():
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 4, 8):
+        v = random_spd(rng, dim, spread=1e6)
+        assert quadratic_form(np.zeros(dim), v) == 0.0
+        assert np.array_equal(quadratic_form(np.zeros((3, dim)), v), np.zeros(3))
+        offset, minimum = rng.normal(), rng.normal(size=dim)
+        # bit for bit: the offset plus an exact zero
+        assert QuadraticPotential(offset, minimum, v).evaluate(minimum) == offset
+
+
+def test_quadratic_form_overflows_without_raising():
+    # dz @ M is beyond the float range although dz and M are not
+    with np.errstate(over="raise", invalid="raise"):
+        values = quadratic_form(np.array([[1e10, 1e10], [1e10, -1e10]]), np.eye(2) * 1e300)
+    assert np.array_equal(values, [np.inf, np.inf])
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])

@@ -1,10 +1,14 @@
 import itertools
+import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import random_spd
+from phasemin.cli import EXIT_OK, main
 from phasemin.distributions import (
     BallIndicator,
     EllipsoidIndicator,
@@ -348,3 +352,111 @@ def test_convergence_table():
     # refinements approach the continuum value from below on this problem
     assert all(b > a for a, b in zip(energies, energies[1:]))
     assert energies[-1] < 1.0 / 24.0
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms on the lattice
+
+
+def family(kind, dim, rng):
+    """A distribution of one family in R^dim, centered in the box [-4, 4]^dim."""
+    if kind == "gaussian":
+        return Gaussian(1.3, rng.uniform(-0.5, 0.5, dim), random_spd(rng, dim))
+    if kind == "ball":
+        return BallIndicator(2.5, rng.uniform(-0.5, 0.5, dim), 0.7)
+    if kind == "ellipsoid":
+        return EllipsoidIndicator(random_spd(rng, dim) / 4.0, rng.uniform(-0.5, 0.5, dim), 1.1)
+    if kind == "mixture":
+        return Mixture(tuple(family(k, dim, rng) for k in ("gaussian", "ball", "ellipsoid")))
+    # a grid of 5 cells per axis over the box
+    shape = (5,) * dim
+    return Grid(np.full(dim, -4.0), 1.6, shape, rng.uniform(0.0, 1.0, math.prod(shape)))
+
+
+def einsum_density(f):
+    """The pointwise density of ``f``, with its quadratic forms as
+    three-operand einsums over the matrices the library uses."""
+    if isinstance(f, Mixture):
+        parts = [einsum_density(c) for c in f.components]
+        return lambda points: sum(part(points) for part in parts)
+    if isinstance(f, Gaussian):
+        dec = f.decomposition
+        log_norm = -0.5 * (f.dim * math.log(2 * math.pi) + np.log(dec.eigenvalues).sum())
+        inverse = (dec.basis / dec.eigenvalues) @ dec.basis.T
+        return lambda points: f.weight * np.exp(
+            log_norm - 0.5 * np.einsum("ki,ij,kj->k", points - f.mean, inverse, points - f.mean)
+        )
+    if isinstance(f, EllipsoidIndicator):
+        return lambda points: np.where(
+            np.einsum("ki,ij,kj->k", points - f.center, f.matrix, points - f.center) <= 1.0,
+            f.amplitude,
+            0.0,
+        )
+    # the ball and the grid evaluate no quadratic form with a matrix
+    return density(f)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("kind", ["gaussian", "ball", "ellipsoid", "mixture", "grid"])
+def test_restack_energies_match_three_operand_einsums_to_the_last_bits(kind, dim):
+    rng = np.random.default_rng(dim)
+    f = family(kind, dim, rng)
+    pot = QuadraticPotential(0.25, rng.uniform(-0.5, 0.5, dim), random_spd(rng, dim))
+
+    def einsum_energy(points):
+        dz = points - pot.minimum
+        return pot.offset + np.einsum("ki,ij,kj->k", dz, pot.matrix, dz)
+
+    box = ([-4.0] * dim, [4.0] * dim)
+    spacing = 8.0 / (64 if dim == 2 else 8)
+    result = restack(RestackProblem(density(f), pot.evaluate, *box, 0, spacing))
+    reference = restack(RestackProblem(einsum_density(f), einsum_energy, *box, 0, spacing))
+    assert result.cells == 4096
+    assert result.energy == pytest.approx(reference.energy, rel=1e-14, abs=0)
+    assert result.pre_energy == pytest.approx(reference.pre_energy, rel=1e-14, abs=0)
+
+
+GRID_2D = {"type": "grid", "origin": [-1.0, -1.0], "spacing": 1.0, "shape": [2, 2],
+           "values": [1.0, 2.0, 3.0, 4.0]}
+GAUSSIAN_2D = {"type": "gaussian", "weight": 1.0, "mean": [0.0, 0.0],
+               "covariance": [[0.5, 0.1], [0.1, 0.3]]}
+BALL_2D = {"type": "ball", "radius": 0.8, "center": [0.0, 0.0]}
+ELLIPSOID_2D = {"type": "ellipsoid", "matrix": [[2.0, 0.0], [0.0, 1.0]], "center": [0.0, 0.0]}
+
+
+# einsum subscripts per restack call: one block at one level evaluates each
+# density once and the cell energies once
+@pytest.mark.parametrize(
+    "distribution, subscripts",
+    [
+        (GAUSSIAN_2D, {"...i,...i->...": 2}),
+        (BALL_2D, {"ki,ki->k": 1, "...i,...i->...": 1}),
+        (ELLIPSOID_2D, {"...i,...i->...": 2}),
+        ({"type": "mixture", "components": [GAUSSIAN_2D, BALL_2D, ELLIPSOID_2D]},
+         {"ki,ki->k": 1, "...i,...i->...": 3}),
+        (GRID_2D, {"...i,...i->...": 1}),
+    ],
+    ids=["gaussian", "ball", "ellipsoid", "mixture", "grid"],
+)
+def test_lattice_evaluation_runs_no_three_operand_einsum(
+    tmp_path, capsys, monkeypatch, distribution, subscripts
+):
+    spec = {
+        "dim": 2,
+        "potential": {"V0": 0.0, "d": [0.1, -0.2], "V": [[1.0, 0.2], [0.2, 0.5]]},
+        "distribution": distribution,
+        "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    calls = []
+
+    def recording(subscript, *operands, einsum=np.einsum, **kwargs):
+        calls.append((subscript, len(operands)))
+        return einsum(subscript, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    assert main(["restack", str(path), "--levels", "0", "--base-spacing", "0.1"]) == EXIT_OK
+    capsys.readouterr()
+    assert [call for call in calls if call[1] >= 3] == []
+    assert Counter(subscript for subscript, _ in calls) == subscripts
