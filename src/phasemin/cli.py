@@ -416,9 +416,9 @@ def cmd_restack(args) -> int:
     cap = count(integer_text(cap, "/PHASEMIN_MAX_CELLS"), "/PHASEMIN_MAX_CELLS")
     lower, upper = _restack_box(problem)
 
-    def cell_energy(points):
+    def cell_energy(z):
         # quadratic_form, under evaluate, overflows to inf or nan without raising
-        energies = problem.potential.evaluate(points)
+        energies = problem.potential.evaluate(z)
         if not np.isfinite(energies).all():
             raise SchemaError("/potential/V", "a computed value is beyond the float range")
         return energies
@@ -436,6 +436,9 @@ def cmd_restack(args) -> int:
     for level in levels:
         with _fails_at("/distribution"):
             result = restack(base.at_level(level))
+        # the cell volume times the cell energies may leave the float range
+        if not np.isfinite([result.energy, result.pre_energy]).all():
+            raise SchemaError("/potential/V", "a computed value is beyond the float range")
         lines.append(
             ",".join(
                 [

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, singledispatch
-from typing import Callable, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,11 @@ def sphere_surface_area(k: int) -> float:
 def ball_volume(k: int, radius: float = 1.0) -> float:
     """Volume of the radius-r ball in R^k."""
     return sphere_surface_area(k) * radius**k / k
+
+
+def _offsets(z, origin) -> list:
+    """Coordinate differences z_k - origin_k, one array per axis."""
+    return [np.subtract(zk, ok) for zk, ok in zip(z, origin, strict=True)]
 
 
 def _vector(v, dim=None, what="vector") -> np.ndarray:
@@ -87,9 +92,8 @@ class QuadraticPotential:
         return sym_eig(self.matrix + MAP_RIDGE * scale * np.eye(self.dim))
 
     def evaluate(self, z) -> np.ndarray:
-        """Potential values at one point or a stack of points (last axis = dim)."""
-        dz = np.asarray(z, dtype=float) - self.minimum
-        return self.offset + quadratic_form(dz, self.matrix)
+        """Potential values at points in coordinate form (see ``density``)."""
+        return self.offset + quadratic_form(_offsets(z, self.minimum), self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +394,11 @@ def moment_energy(m: Moments, potential: QuadraticPotential):
 
 
 @singledispatch
-def density(f) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise density evaluator taking a (k, dim) array of points."""
+def density(f) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
+    """Pointwise density evaluator on points in coordinate form: one array
+    per axis, broadcasting together, such as an open mesh (``np.ix_``), one
+    point's coordinates or ``np.moveaxis(points, -1, 0)``.  Any layout of
+    the same points gives the same bits, in the broadcast shape."""
     raise TypeError(f"no pointwise density for {type(f).__name__}")
 
 
@@ -399,49 +406,48 @@ def density(f) -> Callable[[np.ndarray], np.ndarray]:
 def _(f: Gaussian):
     dec = f.decomposition
     log_norm = -0.5 * (f.dim * math.log(2 * math.pi) + np.log(dec.eigenvalues).sum())
-    inverse = (dec.basis / dec.eigenvalues) @ dec.basis.T
+    # scaling by -0.5 is exact, so the form below is -0.5 * dz.T inverse dz
+    half_inverse = -0.5 * ((dec.basis / dec.eigenvalues) @ dec.basis.T)
 
-    def evaluate(points):
-        dz = np.atleast_2d(np.asarray(points, dtype=float)) - f.mean
-        return f.weight * np.exp(log_norm - 0.5 * quadratic_form(dz, inverse))
+    def evaluate(z):
+        exponent = log_norm + quadratic_form(_offsets(z, f.mean), half_inverse)
+        # the form of a definite inverse is nan only as inf - inf after
+        # overflow: the density is 0 there, as in the limit
+        return f.weight * np.exp(np.fmax(exponent, -np.inf))
 
     return evaluate
 
 
 @density.register
 def _(f: BallIndicator):
-    def evaluate(points):
-        dz = np.atleast_2d(np.asarray(points, dtype=float)) - f.center
-        return np.where(
-            np.einsum("ki,ki->k", dz, dz) <= f.radius**2, f.amplitude, 0.0
-        )
+    def evaluate(z):
+        with np.errstate(over="ignore"):
+            r2 = sum(dz * dz for dz in _offsets(z, f.center))
+        return np.where(r2 <= f.radius**2, f.amplitude, 0.0)
 
     return evaluate
 
 
 @density.register
 def _(f: EllipsoidIndicator):
-    def evaluate(points):
-        dz = np.atleast_2d(np.asarray(points, dtype=float)) - f.center
-        return np.where(quadratic_form(dz, f.matrix) <= 1.0, f.amplitude, 0.0)
+    def evaluate(z):
+        inside = quadratic_form(_offsets(z, f.center), f.matrix) <= 1.0
+        return np.where(inside, f.amplitude, 0.0)
 
     return evaluate
 
 
 @density.register
 def _(f: Grid):
-    flat = f.values.reshape(-1)
-    extents = np.asarray(f.shape)
+    # cell indices are clipped to [-1, n] before the int cast, which cannot
+    # overflow then, and index -1 and n fall in a border of zeros
+    padded = np.pad(f.values, 1)
 
-    def evaluate(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        index = np.floor((pts - f.origin) / f.spacing).astype(int)
-        inside = np.all((index >= 0) & (index < extents), axis=-1)
-        out = np.zeros(pts.shape[0])
-        if inside.any():
-            flat_index = np.ravel_multi_index(tuple(index[inside].T), f.shape)
-            out[inside] = flat[flat_index]
-        return out
+    def evaluate(z):
+        return padded[tuple(
+            np.clip(np.floor(dz / f.spacing), -1, n).astype(int) + 1
+            for dz, n in zip(_offsets(z, f.origin), f.shape)
+        )]
 
     return evaluate
 
@@ -450,11 +456,10 @@ def _(f: Grid):
 def _(f: Mixture):
     parts = [density(c) for c in f.components]
 
-    def evaluate(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        total = np.zeros(pts.shape[0])
+    def evaluate(z):
+        total = np.zeros(np.broadcast_shapes(*map(np.shape, z)))
         for part in parts:
-            total += part(pts)
+            total += part(z)
         return total
 
     return evaluate

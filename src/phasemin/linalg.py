@@ -136,11 +136,18 @@ def require_semidefinite(dec: EigenDecomposition, name: str) -> EigenDecompositi
 
 
 def quadratic_form(dz, matrix) -> np.ndarray:
-    """dz.T @ matrix @ dz for each point of a (..., d) stack of points: one
-    matrix product, then a row dot.  Values beyond the float range come out
-    inf or nan rather than raising; at dz = 0 the value is exactly 0."""
+    """dz.T @ matrix @ dz at each point of a stack in coordinate form: one
+    array of differences per axis, broadcasting together (an open mesh).
+    Sums nest from the first axis, q_a = dz_a * (matrix_aa * dz_a +
+    2 * sum_{b<a} matrix_ab * dz_b) + q_{a-1}, so q_a spans only the axes up
+    to a, and any layout of the same points gives the same bits.  Overflow
+    gives inf or nan, not an exception; at dz = 0 the value is exactly 0."""
+    q = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("...i,...i->...", dz @ matrix, dz)
+        for a, dz_a in enumerate(dz):
+            cross = sum(matrix[a, b] * dz[b] for b in range(a))
+            q = dz_a * (matrix[a, a] * dz_a + 2.0 * cross) + q
+    return q
 
 
 def symplectic_form(dof: int) -> np.ndarray:

@@ -11,8 +11,9 @@ is the lattice approximation of the continuum rearrangement floor.  The cell
 volume factor h^dim makes levels comparable: without it the sum is a plain
 lattice sum, not an integral.
 
-Densities and cell energies are evaluated in row-major blocks of cell
-midpoints, so a lattice is never held as a (cells, dim) point array.
+Densities and cell energies are evaluated on blocks of the lattice, each
+handed to the evaluator as an open mesh: one array of midpoint coordinates
+per axis.  A lattice is never held as a (cells, dim) point array.
 """
 
 from __future__ import annotations
@@ -28,52 +29,43 @@ from .distributions import Grid, cell_axes
 from .errors import CellCapExceeded, EmptyDistribution, NumericalInstability
 
 DEFAULT_CELL_CAP = 4_194_304
-# most cells per evaluation block: a block's (k, dim) points stay in cache
+# most cells per evaluation block: a block's full-sized arrays stay in cache
 BLOCK_CELLS = 1 << 15
 
 
 def _evaluate_cells(fn, origin, spacing: float, shape, what: str) -> np.ndarray:
     """``fn`` at every cell midpoint of a lattice, as one (cells,) array.
 
-    The midpoints are those of ``Grid.cell_centers``, passed to ``fn`` in
-    row-major blocks of at most BLOCK_CELLS points; each block's result must
-    have one value per point.
+    The midpoints are those of ``Grid.cell_centers``, passed to ``fn`` as
+    open meshes (``np.ix_``) of blocks of at most BLOCK_CELLS cells; each
+    block's result must have the block's shape.
     """
     axes = cell_axes(origin, spacing, shape)
-    dim = len(shape)
-    # a block is whole rows over the trailing axes: their midpoints are
-    # written into the block buffer once, and each block sets only the
-    # leading axes
-    split = next(k for k in range(dim + 1) if math.prod(shape[k:]) <= BLOCK_CELLS)
-    row_cells = math.prod(shape[split:])
-    rows_per_block = BLOCK_CELLS // row_cells
-    points = np.empty((rows_per_block, row_cells, dim))
-    for k, mesh in enumerate(np.meshgrid(*axes[split:], indexing="ij"), split):
-        points[:, :, k] = mesh.reshape(-1)
-    rows = math.prod(shape[:split])
-    out = np.empty(rows * row_cells)
-    for first in range(0, rows, rows_per_block):
-        count = min(rows_per_block, rows - first)
-        row = np.arange(first, first + count)
-        for k in reversed(range(split)):
-            row, index = np.divmod(row, shape[k])
-            points[:count, :, k] = axes[k][index, None]
-        block = np.asarray(fn(points[:count].reshape(-1, dim)), dtype=float)
-        if block.shape != (count * row_cells,):
-            raise ValueError(f"{what} evaluator returned a wrong-sized array")
-        out[first * row_cells : (first + count) * row_cells] = block
-    return out
+    # a block is whole rows over the axes from ``split`` on, at one index of
+    # the axes before split - 1 and a run of indices of axis split - 1
+    split = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= BLOCK_CELLS)
+    step = BLOCK_CELLS // math.prod(shape[split:])
+    out = np.empty(shape)
+    for outer in np.ndindex(shape[: split - 1]):
+        for first in range(0, shape[split - 1], step):
+            block = tuple(slice(i, i + 1) for i in outer) + (slice(first, first + step),)
+            mesh = np.ix_(*(axis[s] for axis, s in zip(axes, block)), *axes[split:])
+            values = np.asarray(fn(mesh), dtype=float)
+            if values.shape != out[block].shape:
+                raise ValueError(f"{what} evaluator returned a wrong-sized array")
+            out[block] = values
+    return out.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
 class RestackProblem:
     """A density, an energy rule, and a lattice refinement of a box.
 
-    ``density`` and ``cell_energy`` are vectorized callables over (k, dim)
-    point arrays, evaluated at blocks of cell midpoints.  The lattice at
-    refinement ``level`` has spacing ``base_spacing * 2**(-level)``; the box
-    starting at ``lower`` is extended to a whole number of cells covering
-    ``upper``.
+    ``density`` and ``cell_energy`` take points in coordinate form (see
+    ``distributions.density``), evaluated on blocks of cell midpoints.  The
+    lattice at refinement ``level`` has spacing ``base_spacing * 2**(-level)``;
+    the box starting at ``lower`` is extended to a whole number of cells
+    covering ``upper``.
     """
 
     density: Callable[[np.ndarray], np.ndarray]

@@ -357,7 +357,7 @@ def test_criterion_6_restacking_convergence(checklist):
         grid = Grid(origin, spacing, shape, values)
         pot_d = QuadraticPotential(0.0, np.zeros(dim), 0.5 * np.eye(dim))
         result = restack_grid(grid, pot_d.evaluate)
-        cell_costs = pot_d.evaluate(grid.cell_centers())
+        cell_costs = pot_d.evaluate(grid.cell_centers().T)
         best = exhaustive_restack_minimum(values, cell_costs)
         if result.energy == spacing**dim * best:
             exact_matches += 1

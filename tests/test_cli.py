@@ -1132,6 +1132,22 @@ def wide_ball_problem(radius=1e200, amplitude=1.0):
     return spec
 
 
+# a Gaussian whose form is inf - inf = nan at cell midpoints near (1e150, 1e150)
+NAN_FORM_GAUSSIAN = {"type": "gaussian", "weight": 1.0, "mean": [0.0, 0.0],
+                     "covariance": [[2e-160, 1e-160], [1e-160, 2e-160]]}
+
+
+def huge_ball_problem(*others, v=1.0):
+    """A ball of radius 1e150 in the box of side 2e150, with other mixture
+    components, if any, and V = v * I."""
+    spec = wide_ball_problem(1e150)
+    spec["potential"]["V"] = [[v, 0.0], [0.0, v]]
+    spec["box"] = {"lo": [-1e150] * 2, "hi": [1e150] * 2}
+    if others:
+        spec["distribution"] = {"type": "mixture", "components": [spec["distribution"], *others]}
+    return spec
+
+
 def sharp_gaussian_problem():
     return {
         "dim": 1,
@@ -1173,8 +1189,13 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
          "/potential/V"),
         # the density at the mean is beyond the float range
         (["restack", "SHARP_GAUSSIAN", "--levels", "0"], "/distribution"),
-        # dz @ V overflows inside the matrix product of the quadratic form
+        # V_aa * dz_a overflows inside the quadratic form
         (["restack", "STIFF_WIDE_BALL", "--levels", "0,1", "--base-spacing", "1e9"],
+         "/potential/V"),
+        # each cell energy is in range; times the cell volume they are not
+        (["restack", "HUGE_BALL", "--levels", "0", "--base-spacing", "1e149"], "/potential/V"),
+        # as above, with a Gaussian component whose form is inf - inf = nan
+        (["restack", "HUGE_BALL_AND_NAN_GAUSSIAN", "--levels", "0", "--base-spacing", "1e149"],
          "/potential/V"),
     ],
     ids=[
@@ -1192,6 +1213,8 @@ WIDE_2 = "[[1e200, 0.0], [0.0, 1e200]]"
         "restack-cell-energy",
         "restack-gaussian-density",
         "restack-cell-energy-product",
+        "restack-cell-volume-product",
+        "restack-nan-gaussian-form",
     ],
 )
 def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, argv, pointer):
@@ -1209,6 +1232,10 @@ def test_values_beyond_the_float_range_fail_at_their_input(tmp_path, capsys, arg
         "STIFF_WIDE_BALL": write_json(
             tmp_path / "stiff_wide_ball.json",
             {**wide_ball_problem(1e10), "potential": stiff_problem()["potential"]},
+        ),
+        "HUGE_BALL": write_json(tmp_path / "huge_ball.json", huge_ball_problem()),
+        "HUGE_BALL_AND_NAN_GAUSSIAN": write_json(
+            tmp_path / "huge_mixture.json", huge_ball_problem(NAN_FORM_GAUSSIAN)
         ),
     }
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
@@ -1238,6 +1265,35 @@ def test_a_density_whose_quadratic_form_overflows_is_zero_there(
     code, out, err = run(capsys, ["restack", path, "--levels", "0", "--base-spacing", repr(spacing)])
     assert (code, out) == (EXIT_DEGENERATE, "")
     assert err == "degenerate input: no cell carries positive density\n"
+
+
+def test_a_gaussian_whose_form_is_nan_is_zero_there(tmp_path, capsys):
+    # every cell energy and energy sum is in range at V = 1e-300 * I; the
+    # Gaussian adds nothing to the ball at any midpoint, nan forms included
+    outputs = []
+    for spec in (huge_ball_problem(v=1e-300), huge_ball_problem(NAN_FORM_GAUSSIAN, v=1e-300)):
+        path = write_json(tmp_path / "p.json", spec)
+        outputs.append(run(capsys, ["restack", path, "--levels", "0", "--base-spacing", "1e149"]))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[1]
+    assert (code, err) == (EXIT_OK, "")
+    row = out.splitlines()[1].split(",")
+    assert row[:3] == ["0", "1e+149", "400"]
+    assert all(math.isfinite(float(value)) and float(value) > 0 for value in row[3:])
+
+
+def test_a_grid_is_zero_beyond_the_int64_range_of_its_cell_indices(tmp_path, capsys):
+    # the midpoints off the centre lie 5e19 grid cells from the grid, past
+    # int64; the centre midpoint falls in the grid's cell of value 4
+    spec = {**wide_ball_problem(), "box": {"lo": [-0.75] * 2, "hi": [0.75] * 2}}
+    spec["potential"]["d"] = [0.1, 0.2]
+    spec["distribution"] = {"type": "grid", "origin": [-1e-20] * 2, "spacing": 1e-20,
+                            "shape": [2, 2], "values": [1.0, 2.0, 3.0, 4.0]}
+    path = write_json(tmp_path / "p.json", spec)
+    code, out, err = run(capsys, ["restack", path, "--levels", "0", "--base-spacing", "0.5"])
+    assert (code, err) == (EXIT_OK, "")
+    # 0.25 (the cell area) * 4 * (0.1^2 + 0.2^2)
+    assert out.splitlines()[1] == "0,0.5,9,0.05000000000000001,0.05000000000000001"
 
 
 # finite entries whose larger eigenvalue, 2.7e308, is beyond the float range

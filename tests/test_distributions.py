@@ -22,6 +22,7 @@ from phasemin.distributions import (
     sphere_surface_area,
 )
 from phasemin.errors import DimensionError, EmptyDistribution, NotPositiveDefinite
+from phasemin.linalg import quadratic_form
 from phasemin.restack import RestackProblem
 
 
@@ -253,7 +254,7 @@ def test_moment_energy_dimension_mismatch():
 def test_potential_evaluate_at_minimum_and_stack():
     pot = QuadraticPotential(1.5, [1.0, -1.0], [[1.0, 0.0], [0.0, 2.0]])
     assert pot.evaluate([1.0, -1.0]) == pytest.approx(1.5)
-    values = pot.evaluate([[1.0, -1.0], [2.0, -1.0], [1.0, 0.0]])
+    values = pot.evaluate([[1.0, 2.0, 1.0], [-1.0, -1.0, 0.0]])
     np.testing.assert_allclose(values, [1.5, 2.5, 3.5])
 
 
@@ -265,23 +266,35 @@ def test_gaussian_density_integrates_to_weight():
     assert g.values.sum() * g.spacing**2 == pytest.approx(1.4, rel=1e-10)
 
 
+def test_gaussian_density_is_zero_where_its_form_is_nan():
+    # the form of the definite inverse overflows to inf - inf = nan at the
+    # first point and to inf at the second; the density is 0 at both
+    f = Gaussian(1.0, [0.0, 0.0], [[2e-160, 1e-160], [1e-160, 2e-160]])
+    dec = f.decomposition
+    inverse = (dec.basis / dec.eigenvalues) @ dec.basis.T
+    z = [np.array([1e150, 1e150]), np.array([1e150, -1e150])]
+    assert np.isnan(quadratic_form(z, inverse)[0])
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.array_equal(density(f)(z), [0.0, 0.0])
+
+
 def test_indicator_density_levels():
     f = BallIndicator(1.0, [0.0, 0.0], amplitude=2.5)
-    values = density(f)(np.array([[0.0, 0.0], [1.0, 0.0], [1.01, 0.0]]))
+    values = density(f)(np.array([[0.0, 1.0, 1.01], [0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(values, [2.5, 2.5, 0.0])
 
 
 def test_grid_density_round_trip():
     g = Grid([0.0, 0.0], 0.5, (2, 3), np.arange(6.0) + 1.0)
     evaluate = density(g)
-    np.testing.assert_allclose(evaluate(g.cell_centers()), g.values.reshape(-1))
-    np.testing.assert_allclose(evaluate([[-1.0, 0.2], [5.0, 5.0]]), [0.0, 0.0])
+    np.testing.assert_allclose(evaluate(g.cell_centers().T), g.values.reshape(-1))
+    np.testing.assert_allclose(evaluate([[-1.0, 5.0], [0.2, 5.0]]), [0.0, 0.0])
 
 
 def test_mixture_density_sums_components():
     f1 = Gaussian(1.0, [0.0], [[1.0]])
     f2 = Gaussian(2.0, [1.0], [[0.5]])
-    points = np.array([[0.0], [0.5], [1.0]])
+    points = np.array([[0.0, 0.5, 1.0]])
     np.testing.assert_allclose(
         density(Mixture((f1, f2)))(points),
         density(f1)(points) + density(f2)(points),

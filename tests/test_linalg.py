@@ -99,8 +99,8 @@ def test_quadratic_form_matches_the_three_operand_einsum(shape, dim):
     # each sum rounds once per term, so both routes stay within a few units
     # of roundoff of the sum of the terms' magnitudes
     bound = 8 * np.finfo(float).eps * np.einsum("...i,ij,...j->...", abs(dz), abs(m), abs(dz))
-    values = quadratic_form(dz, m)
-    assert values.shape == shape
+    values = quadratic_form(np.moveaxis(dz, -1, 0), m)
+    assert np.shape(values) == shape
     assert np.all(abs(values - expected) <= bound)
 
 
@@ -109,16 +109,16 @@ def test_quadratic_form_is_exactly_zero_at_zero():
     for dim in (1, 2, 4, 8):
         v = random_spd(rng, dim, spread=1e6)
         assert quadratic_form(np.zeros(dim), v) == 0.0
-        assert np.array_equal(quadratic_form(np.zeros((3, dim)), v), np.zeros(3))
+        assert np.array_equal(quadratic_form(np.zeros((dim, 3)), v), np.zeros(3))
         offset, minimum = rng.normal(), rng.normal(size=dim)
         # bit for bit: the offset plus an exact zero
         assert QuadraticPotential(offset, minimum, v).evaluate(minimum) == offset
 
 
 def test_quadratic_form_overflows_without_raising():
-    # dz @ M is beyond the float range although dz and M are not
+    # M_aa * dz_a is beyond the float range although dz and M are not
     with np.errstate(over="raise", invalid="raise"):
-        values = quadratic_form(np.array([[1e10, 1e10], [1e10, -1e10]]), np.eye(2) * 1e300)
+        values = quadratic_form(np.array([[1e10, 1e10], [1e10, -1e10]]).T, np.eye(2) * 1e300)
     assert np.array_equal(values, [np.inf, np.inf])
 
 
