@@ -56,7 +56,7 @@ from .errors import (
     PhaseMinError,
     SchemaError,
 )
-from .linalg import require_definite, sym_eig
+from .linalg import require_definite, stack_length, sym_eig
 from .problems import (
     Problem,
     count,
@@ -90,11 +90,7 @@ EXIT_RESOURCE = 5
 RESTACK_MAX_DIM = 4
 # every point of a sweep is evaluated: a count beyond this fails as a cell cap does
 SWEEP_MAX_POINTS = 10**6
-# a sweep evaluates its points in stacks of at most this many matrix entries
-# (4,096 points of side 8), so its memory does not grow with the point count
-SWEEP_BLOCK_ENTRIES = 4096 * 8 * 8
-# a sampler batch holds stacks of (2 dof)^2 matrices: peak memory grows as dof^2,
-# to about 260 MiB for a batch of 4,096 at this cap
+# a contract only: sampler batches hold at most STACK_ENTRIES entries at any dof
 VERIFY_MAX_DOF = 16
 SWEEP_CSV_HEADER = "epsilon,E_initial,E_SL,E_Sp,F_SL,F_Sp"
 RESTACK_CSV_HEADER = "level,h,cells,energy,pre_energy"
@@ -343,7 +339,7 @@ def cmd_sweep(args) -> int:
     with _fails_at("/template/distribution"):
         m = moments(problem.distribution)
     matrix = np.array(rows, dtype=float)
-    block = max(1, SWEEP_BLOCK_ENTRIES // matrix.size)
+    block = stack_length(matrix.shape[0])
 
     def block_rows(points):
         potential = _potential_stack(problem.potential, matrix, entries, points)
@@ -488,72 +484,76 @@ def _sampler(dof: int, seed: int, scale: float, pointer: str) -> SymplecticSampl
     return sampler
 
 
-def cmd_verify(args) -> int:
-    if args.kind != "ellipsoid":
-        count(args.trials, "/trials")
-        nonnegative(args.scale, "/scale")
-        nonnegative(args.seed, "/seed")
-    if args.kind == "theorem":
-        if not args.problem:
-            raise SchemaError("/problem", "verify theorem needs --problem")
-        problem = load_problem(args.problem)
-        sampler = _sampler(problem.dof, args.seed, args.scale, "/dim")
-        with _fails_at("/distribution"):
-            m = moments(problem.distribution)
-        with _fails_at("/potential/V"):
-            moment_matrix(m, problem.potential)
-            dec_v = require_definite(problem.potential.decomposition, "V")
-            result = check_trace_minimum(dec_v, m.decomposition, args.trials, sampler)
-            payload = {
-                "kind": "theorem",
-                "trials": args.trials,
-                "seed": args.seed,
-                "bound": result.bound,
-                "min_observed": result.min_observed,
-                "violations": result.violations,
-            }
-            _emit(_json_report(payload), args.output)
-        return EXIT_OK if result.violations == 0 else EXIT_VERIFY_FAILED
+def _check_sampling(args) -> None:
+    count(args.trials, "/trials")
+    nonnegative(args.scale, "/scale")
+    nonnegative(args.seed, "/seed")
 
-    if args.kind == "nonsqueeze":
-        count(args.dof, "/dof")
-        positive(args.ball_radius, "/ball-radius")
-        if not positive(args.cylinder_radius, "/cylinder-radius") < args.ball_radius:
-            raise SchemaError(
-                "/cylinder-radius",
-                f"expected 0 < cylinder radius < ball radius {args.ball_radius}, "
-                f"got {args.cylinder_radius}",
-            )
-        sampler = _sampler(args.dof, args.seed, args.scale, "/dof")
-        # the search compares squared radii: a zero or subnormal square is no test
-        ball_squared = args.ball_radius * args.ball_radius
-        if not ball_squared > 0:
-            raise SchemaError(
-                "/ball-radius", f"ball radius squared must be positive, got {ball_squared}"
-            )
-        if not args.cylinder_radius * args.cylinder_radius >= sys.float_info.min:
-            raise SchemaError(
-                "/cylinder-radius",
-                "cylinder radius squared is below the normal float range, "
-                f"got {args.cylinder_radius * args.cylinder_radius}",
-            )
-        with _fails_at("/ball-radius"):
-            result = nonsqueeze_search(
-                args.ball_radius, args.cylinder_radius, args.trials, sampler
-            )
-            payload = {
-                "kind": "nonsqueeze",
-                "trials": args.trials,
-                "seed": args.seed,
-                "dof": args.dof,
-                "ball_radius": args.ball_radius,
-                "cylinder_radius": args.cylinder_radius,
-                "successes": result.successes,
-                "min_energy_seen": result.min_energy_seen,
-            }
-            _emit(_json_report(payload), args.output)
-        return EXIT_OK if result.successes == 0 else EXIT_VERIFY_FAILED
 
+def cmd_verify_theorem(args) -> int:
+    _check_sampling(args)
+    if not args.problem:
+        raise SchemaError("/problem", "verify theorem needs --problem")
+    problem = load_problem(args.problem)
+    sampler = _sampler(problem.dof, args.seed, args.scale, "/dim")
+    with _fails_at("/distribution"):
+        m = moments(problem.distribution)
+    with _fails_at("/potential/V"):
+        moment_matrix(m, problem.potential)
+        dec_v = require_definite(problem.potential.decomposition, "V")
+        result = check_trace_minimum(dec_v, m.decomposition, args.trials, sampler)
+        payload = {
+            "kind": "theorem",
+            "trials": args.trials,
+            "seed": args.seed,
+            "bound": result.bound,
+            "min_observed": result.min_observed,
+            "violations": result.violations,
+        }
+        _emit(_json_report(payload), args.output)
+    return EXIT_OK if result.violations == 0 else EXIT_VERIFY_FAILED
+
+
+def cmd_verify_nonsqueeze(args) -> int:
+    _check_sampling(args)
+    count(args.dof, "/dof")
+    positive(args.ball_radius, "/ball-radius")
+    if not positive(args.cylinder_radius, "/cylinder-radius") < args.ball_radius:
+        raise SchemaError(
+            "/cylinder-radius",
+            f"expected 0 < cylinder radius < ball radius {args.ball_radius}, "
+            f"got {args.cylinder_radius}",
+        )
+    sampler = _sampler(args.dof, args.seed, args.scale, "/dof")
+    # the search compares squared radii: a zero or subnormal square is no test
+    ball_squared = args.ball_radius * args.ball_radius
+    if not ball_squared > 0:
+        raise SchemaError(
+            "/ball-radius", f"ball radius squared must be positive, got {ball_squared}"
+        )
+    if not args.cylinder_radius * args.cylinder_radius >= sys.float_info.min:
+        raise SchemaError(
+            "/cylinder-radius",
+            "cylinder radius squared is below the normal float range, "
+            f"got {args.cylinder_radius * args.cylinder_radius}",
+        )
+    with _fails_at("/ball-radius"):
+        result = nonsqueeze_search(args.ball_radius, args.cylinder_radius, args.trials, sampler)
+        payload = {
+            "kind": "nonsqueeze",
+            "trials": args.trials,
+            "seed": args.seed,
+            "dof": args.dof,
+            "ball_radius": args.ball_radius,
+            "cylinder_radius": args.cylinder_radius,
+            "successes": result.successes,
+            "min_energy_seen": result.min_energy_seen,
+        }
+        _emit(_json_report(payload), args.output)
+    return EXIT_OK if result.successes == 0 else EXIT_VERIFY_FAILED
+
+
+def cmd_verify_ellipsoid(args) -> int:
     if not args.first or not args.second:
         raise SchemaError("/first", "verify ellipsoid needs --first and --second")
     nonnegative(args.tol, "/tol")
@@ -606,19 +606,26 @@ def build_parser() -> argparse.ArgumentParser:
     stack.set_defaults(handler=cmd_restack)
 
     verify = sub.add_parser("verify", help="randomized verification runs")
-    verify.add_argument("kind", choices=["theorem", "nonsqueeze", "ellipsoid"])
-    verify.add_argument("--problem", default=None, help="problem file for 'theorem'")
-    verify.add_argument("--trials", type=int, default=10000)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--scale", type=float, default=1.0)
-    verify.add_argument("--dof", type=int, default=2, help="degrees of freedom")
-    verify.add_argument("--ball-radius", type=float, default=1.0)
-    verify.add_argument("--cylinder-radius", type=float, default=0.5)
-    verify.add_argument("--first", default=None, help="shape matrix (JSON or file)")
-    verify.add_argument("--second", default=None, help="shape matrix (JSON or file)")
-    verify.add_argument("--tol", type=float, default=1e-8)
-    verify.add_argument("-o", "--output", default=None, help="write JSON here")
-    verify.set_defaults(handler=cmd_verify)
+    kinds = verify.add_subparsers(dest="kind", required=True)
+    theorem = kinds.add_parser("theorem", help="sample the symplectic trace minimum")
+    theorem.add_argument("--problem", default=None, help="problem JSON file")
+    theorem.set_defaults(handler=cmd_verify_theorem)
+    squeeze = kinds.add_parser("nonsqueeze", help="search for a ball inside a thinner cylinder")
+    squeeze.add_argument("--dof", type=int, default=2, help="degrees of freedom")
+    squeeze.add_argument("--ball-radius", type=float, default=1.0)
+    squeeze.add_argument("--cylinder-radius", type=float, default=0.5)
+    squeeze.set_defaults(handler=cmd_verify_nonsqueeze)
+    for sampling in (theorem, squeeze):
+        sampling.add_argument("--trials", type=int, default=10000)
+        sampling.add_argument("--seed", type=int, default=0)
+        sampling.add_argument("--scale", type=float, default=1.0)
+    ellipsoid = kinds.add_parser("ellipsoid", help="compare two ellipsoids under Sp")
+    ellipsoid.add_argument("--first", default=None, help="shape matrix (JSON or file)")
+    ellipsoid.add_argument("--second", default=None, help="shape matrix (JSON or file)")
+    ellipsoid.add_argument("--tol", type=float, default=1e-8)
+    ellipsoid.set_defaults(handler=cmd_verify_ellipsoid)
+    for kind in (theorem, squeeze, ellipsoid):
+        kind.add_argument("-o", "--output", default=None, help="write JSON here")
 
     return parser
 

@@ -10,23 +10,11 @@ class DimensionError(PhaseMinError):
 
 
 class NotPositiveDefinite(PhaseMinError):
-    """A matrix required to be positive definite is not.
-
-    The offending eigenvalue, the smallest or one beyond the float range, is
-    stored as ``eigenvalue``.
-    """
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
+    """A matrix required to be positive definite is not."""
 
 
 class NotSemidefinite(PhaseMinError):
     """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
 
 
 class DegenerateMoments(PhaseMinError):
@@ -43,15 +31,10 @@ class NumericalInstability(PhaseMinError):
 
 class CellCapExceeded(PhaseMinError):
     """A request would allocate more than its cap: a lattice refinement's
-    cells, or a sweep's points.
-
-    Carries the ``requested`` and ``cap`` counts; ``need`` words the request.
-    """
+    cells, or a sweep's points.  ``need`` words the ``requested`` count."""
 
     def __init__(self, requested, cap, need="refinement needs {} cells"):
         super().__init__(f"{need.format(requested)}, exceeding the cap of {cap}")
-        self.requested = requested
-        self.cap = cap
 
 
 class SchemaError(PhaseMinError):

@@ -24,6 +24,14 @@ ZERO_CLAMP_RTOL = 1e-10
 # ridge added to a singular potential matrix to build a near-optimal map from;
 # the energy values never use it
 MAP_RIDGE = 1e-8
+# most matrix entries in one stack (4,096 matrices of side 8), for sweeps and
+# sampler batches alike: their memory grows with neither the count nor the side
+STACK_ENTRIES = 4096 * 8 * 8
+
+
+def stack_length(side: int) -> int:
+    """The most matrices of side ``side`` that fit in one stack, at least one."""
+    return max(1, STACK_ENTRIES // (side * side))
 
 
 def as_square(a) -> np.ndarray:
@@ -104,14 +112,9 @@ def require_definite(dec: EigenDecomposition, name: str) -> EigenDecomposition:
     if an eigenvalue is beyond the float range."""
     w = dec.eigenvalues
     if not np.all(np.isfinite(w)):
-        raise NotPositiveDefinite(
-            f"{name} has an eigenvalue beyond the float range", eigenvalue=w[-1]
-        )
+        raise NotPositiveDefinite(f"{name} has an eigenvalue beyond the float range")
     if not dec.definite:
-        raise NotPositiveDefinite(
-            f"{name} must be positive definite (eigenvalue {w[0]:.6e})",
-            eigenvalue=w[0],
-        )
+        raise NotPositiveDefinite(f"{name} must be positive definite (eigenvalue {w[0]:.6e})")
     return dec
 
 
@@ -131,7 +134,7 @@ def require_semidefinite(dec: EigenDecomposition, name: str) -> EigenDecompositi
     negative = ~(low >= -PSD_RTOL * np.maximum(abs(low), abs(high)))
     if negative.any():
         w0 = np.ravel(low)[np.argmax(negative)]
-        raise NotSemidefinite(f"{name} has negative eigenvalue {w0:.6e}", eigenvalue=w0)
+        raise NotSemidefinite(f"{name} has negative eigenvalue {w0:.6e}")
     return dec
 
 

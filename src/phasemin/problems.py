@@ -23,8 +23,8 @@ Exactly one of ``n`` and ``dim`` must be present.  Distribution types:
 
 A grid file is a JSON object with ``dim``, ``shape``, ``origin``,
 ``spacing`` and either inline ``values`` (flat, row-major over ``shape``)
-or ``values_csv`` naming a sidecar CSV of one value per line (path relative
-to the grid file).
+or ``values_csv`` naming a sidecar file readable by ``numpy.loadtxt`` (path
+relative to the grid file), its values read row-major over ``shape``.
 
 Every input from outside the package is read here: the files, and the
 command line's matrices, option values and environment variables.  Schema
@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -212,7 +213,9 @@ def parse_grid(obj: dict, dim: int, root: str, csv_dir: Optional[str] = None) ->
             raise SchemaError(f"{root}/values_csv", "expected a file name")
         sidecar = os.path.join(csv_dir, obj["values_csv"])
         try:
-            values = np.loadtxt(sidecar, dtype=float, ndmin=1)
+            with warnings.catch_warnings():  # an empty file warns; its count fails below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(sidecar, dtype=float, ndmin=1)
         except ValueError as err:
             raise SchemaError(
                 f"{root}/values_csv", f"unreadable CSV values: {err}"

@@ -29,7 +29,8 @@ from .distributions import Grid, cell_axes
 from .errors import CellCapExceeded, EmptyDistribution, NumericalInstability
 
 DEFAULT_CELL_CAP = 4_194_304
-# most cells per evaluation block: a block's full-sized arrays stay in cache
+# most cells per evaluation block: a block's full-sized arrays stay in cache.  It
+# tiles lattice cells for speed; linalg.STACK_ENTRIES bounds matrix stacks for memory
 BLOCK_CELLS = 1 << 15
 
 

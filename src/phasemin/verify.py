@@ -20,13 +20,11 @@ import numpy as np
 
 from .energy import anti_sorted_pairing, sp_optimal_map
 from .errors import DimensionError, NumericalInstability
-from .linalg import EigenDecomposition, require_definite, sym_eig, symplectic_form
+from .linalg import EigenDecomposition, require_definite, stack_length, sym_eig, symplectic_form
 from .williamson import symplectic_eigenvalues
 from .distributions import sphere_surface_area
 
 SAMPLE_RESIDUAL_TOL = 1e-8
-# samples drawn and reduced at once by the trace and nonsqueezing searches
-BATCH = 4096
 
 
 def expm_batch(mats) -> np.ndarray:
@@ -81,6 +79,13 @@ class SymplecticSampler:
             )
         return out
 
+    def batches(self, count: int):
+        """The next ``count`` samples, as stacks of at most ``STACK_ENTRIES``
+        matrix entries each, drawn through ``sample_batch``."""
+        size = stack_length(2 * self.dof)
+        for start in range(0, count, size):
+            yield self.sample_batch(min(size, count - start))
+
 
 class TraceMinimumCheck(NamedTuple):
     min_observed: float
@@ -117,8 +122,7 @@ def check_trace_minimum(
     candidate = sp_optimal_map(dec_v, dec_h).T
     best = float(np.trace(candidate @ v @ candidate.T @ h))
     violations = int(best < bound - 1e-8 * bound)
-    for start in range(0, int(trials), BATCH):
-        s = sampler.sample_batch(min(BATCH, int(trials) - start))
+    for s in sampler.batches(int(trials)):
         values = np.einsum("tia,ab,tcb,ci->t", s, v, s, h, optimize=True)
         best = min(best, float(values.min()))
         violations += int((values < bound - 1e-8 * bound).sum())
@@ -201,8 +205,7 @@ def nonsqueeze_search(
     min_energy = float(_cylinder_energy(r2 * np.eye(2 * n), n))
     if not min_energy >= sys.float_info.min:
         raise FloatingPointError(f"the ball's cylinder energy {min_energy} underflows")
-    for start in range(0, int(trials), BATCH):
-        a = sampler.sample_batch(min(BATCH, int(trials) - start))
+    for a in sampler.batches(int(trials)):
         shapes = r2 * (a @ a.transpose(0, 2, 1))
         successes += int((_cylinder_block_top(shapes, n) <= limit).sum())
         energies = _cylinder_energy(shapes, n)

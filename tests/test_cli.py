@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import SCHUR_FAILURE_COVARIANCE
 import phasemin.cli
 import phasemin.energy
+import phasemin.linalg
 from phasemin.cli import (
     EXIT_DEGENERATE,
     EXIT_IO,
@@ -301,7 +306,7 @@ def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(phasemin.cli, "_sweep_point", counting)
     # two points per stacked block at side 4
-    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 2 * 16)
+    monkeypatch.setattr(phasemin.linalg, "STACK_ENTRIES", 2 * 16)
     path = write_json(tmp_path / "s.json", sweep_spec(0.2, 2.0, 5))
     code, out, _ = run(capsys, ["sweep", path])
     assert code == EXIT_OK
@@ -314,7 +319,7 @@ def test_sweep_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
 
 def test_sweep_holds_each_row_once_as_its_csv_line(tmp_path, monkeypatch):
     # stacks of 1,024 points keep the batched arrays small beside the rows
-    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 1024 * 16)
+    monkeypatch.setattr(phasemin.linalg, "STACK_ENTRIES", 1024 * 16)
     points = 20_000
     path = write_json(tmp_path / "s.json", sweep_spec(0.1, 3.0, points))
     target = tmp_path / "curves.csv"
@@ -444,7 +449,7 @@ def test_sweep_csv_equals_per_point_evaluation(
     path = write_json(tmp_path / "s.json", spec)
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
-            patch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", block * dim * dim)
+            patch.setattr(phasemin.linalg, "STACK_ENTRIES", block * dim * dim)
         code, out, err = run(capsys, ["sweep", path])
     assert (code, err) == (EXIT_OK, "")
     assert out == expected
@@ -453,7 +458,7 @@ def test_sweep_csv_equals_per_point_evaluation(
 def test_sweep_longer_than_one_block_matches_across_the_boundary(
     tmp_path, capsys, monkeypatch
 ):
-    spec = sweep_spec(0.2, 2.0, phasemin.cli.SWEEP_BLOCK_ENTRIES // 16 + 2)
+    spec = sweep_spec(0.2, 2.0, phasemin.linalg.STACK_ENTRIES // 16 + 2)
     spec["template"]["potential"]["V"][0][1] = "0.1*epsilon"
     spec["template"]["potential"]["V"][1][0] = "0.1*epsilon"
     path = write_json(tmp_path / "s.json", spec)
@@ -465,7 +470,7 @@ def test_sweep_longer_than_one_block_matches_across_the_boundary(
     for k in (1, 2, len(lines) - 4, len(lines) - 3, len(lines) - 2):
         row = per_point_rows(spec["template"], epsilons[k - 1:k]).split("\n")[1]
         assert lines[k] == row
-    monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", 1000 * 16)
+    monkeypatch.setattr(phasemin.linalg, "STACK_ENTRIES", 1000 * 16)
     assert run(capsys, ["sweep", path])[1] == out
 
 
@@ -524,7 +529,7 @@ def one_dof_sweep(v, start, stop, points, covariance=1.0):
 )
 def test_the_first_failing_point_of_a_sweep_wins(tmp_path, capsys, monkeypatch, spec, block, err):
     if block is not None:
-        monkeypatch.setattr(phasemin.cli, "SWEEP_BLOCK_ENTRIES", block * 4)
+        monkeypatch.setattr(phasemin.linalg, "STACK_ENTRIES", block * 4)
     code, out, stderr = run(capsys, ["sweep", write_json(tmp_path / "s.json", spec)])
     assert (code, out) == (EXIT_SCHEMA, "")
     assert stderr == f"schema error at {err}\n"
@@ -1115,6 +1120,43 @@ def test_verify_rejects_inputs_outside_the_contract(tmp_path, capsys, argv, poin
     assert err.startswith(f"schema error at {pointer}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["theorem", "--problem", "PROBLEM", "--trials", "5"], ["--dof", "7", "--tol", "-3",
+                                                                 "--first", "x"]),
+        (["nonsqueeze", "--trials", "5"], ["--problem", "p.json", "--first", "x"]),
+        (["ellipsoid", "--first", IDENTITY_2, "--second", IDENTITY_2],
+         ["--trials", "5", "--seed", "1", "--dof", "2"]),
+    ],
+    ids=["theorem", "nonsqueeze", "ellipsoid"],
+)
+def test_verify_kinds_reject_the_options_of_other_kinds(tmp_path, capsys, argv, foreign):
+    problem = write_json(tmp_path / "p.json", gaussian_problem(0.25))
+    with pytest.raises(SystemExit) as info:
+        main(["verify"] + [problem if a == "PROBLEM" else a for a in argv] + foreign)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: {' '.join(foreign)}\n")
+
+
+@pytest.mark.parametrize(
+    "kind, last", [("theorem", "/problem"), ("nonsqueeze", "/dof")]
+)
+def test_verify_checks_trials_then_scale_then_seed(capsys, kind, last):
+    # each bad option is dropped once its error shows, so the next check's shows;
+    # theorem, given no --problem, ends at /problem
+    bad = {"/trials": ["--trials", "0"], "/scale": ["--scale", "-1"], "/seed": ["--seed", "-1"]}
+    if kind == "nonsqueeze":
+        bad["/dof"] = ["--dof", "0"]
+    for pointer in ("/trials", "/scale", "/seed", last):
+        argv = ["verify", kind] + [token for option in bad.values() for token in option]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err.startswith(f"schema error at {pointer}: ")
+        bad.pop(pointer, None)
+
+
 def stiff_problem():
     # V and H are each in range; tr(V H) and det(V H) are not
     spec = gaussian_problem(1.0)
@@ -1294,6 +1336,20 @@ def test_a_grid_is_zero_beyond_the_int64_range_of_its_cell_indices(tmp_path, cap
     assert (code, err) == (EXIT_OK, "")
     # 0.25 (the cell area) * 4 * (0.1^2 + 0.2^2)
     assert out.splitlines()[1] == "0,0.5,9,0.05000000000000001,0.05000000000000001"
+
+
+def test_an_empty_csv_sidecar_prints_only_its_schema_error(tmp_path):
+    # a fresh interpreter shows stderr as a user sees it, numpy's warnings included
+    (tmp_path / "values.csv").write_text("", encoding="utf-8")
+    write_json(tmp_path / "grid.json", {"dim": 2, "shape": [2, 2], "origin": [0.0, 0.0],
+                                        "spacing": 0.5, "values_csv": "values.csv"})
+    spec = {**wide_ball_problem(), "distribution": {"type": "grid", "file": "grid.json"}}
+    path = write_json(tmp_path / "p.json", spec)
+    env = {**os.environ, "PYTHONPATH": str(Path(phasemin.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "phasemin", "bounds", path],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (EXIT_SCHEMA, "")
+    assert proc.stderr == "schema error at /values: expected 4 values for shape [2, 2], got 0\n"
 
 
 # finite entries whose larger eigenvalue, 2.7e308, is beyond the float range

@@ -1,10 +1,13 @@
 """Package layout: submodule imports bind modules, the package keeps the
 names the benchmark imports from it, the benchmark's tracer finds every
-name it wraps, and no module imports a name it never uses."""
+name it wraps, no module imports a name it never uses, and every constant
+the README names exists."""
 
 import ast
 import importlib.util
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_submodule_imports_bind_modules():
@@ -74,3 +78,22 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_every_constant_the_readme_names_exists():
+    # two capitals or more: the one-letter keys of problem files (`V`, `V0`) are no constants
+    import phasemin
+
+    names = set(dir(phasemin))
+    for module in pkgutil.iter_modules(phasemin.__path__):
+        if module.name != "__main__":  # importing it runs the command line
+            names.update(dir(importlib.import_module(f"phasemin.{module.name}")))
+    cli = ast.parse((Path(phasemin.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    names.update(
+        node.args[0].value for node in ast.walk(cli)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.environ.get"
+    )
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]*[A-Z][A-Z0-9_]*)`", readme))
+    assert "PHASEMIN_MAX_CELLS" in names
+    assert named - names == set()

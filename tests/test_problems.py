@@ -380,6 +380,7 @@ GRID_HEAD = b'{"dim": 1, "shape": [2], "origin": [0.0], "spacing": 1.0'
         (b'{"dim": 1, "shape": [0], "origin": [0.0], "spacing": 1.0}', "/shape/0"),
         (GRID_HEAD + b', "values": "ab"}', "/values"),
         (GRID_HEAD + b', "values_csv": 5}', "/values_csv"),
+        (GRID_HEAD + b', "values_csv": "empty.csv"}', "/values"),
         (b"\xff\xfe{}", "/"),
         (b"[" * 5_000 + b"]" * 5_000, "/"),
     ],
@@ -388,11 +389,15 @@ GRID_HEAD = b'{"dim": 1, "shape": [2], "origin": [0.0], "spacing": 1.0'
         "empty-axis",
         "values-not-a-list",
         "csv-name-not-a-string",
+        "empty-csv",
         "not-utf8",
         "nested-too-deeply",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_grid_file_violations_carry_json_pointers(tmp_path, content, path):
+    # numpy warns on an empty file before it returns no values; no row warns
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     grid_path = tmp_path / "grid.json"
     grid_path.write_bytes(content)
     with pytest.raises(SchemaError) as info:

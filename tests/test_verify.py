@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import phasemin.verify
+import phasemin.linalg
 from conftest import random_spd
 from phasemin.distributions import BallIndicator, QuadraticPotential, moments
 from phasemin.energy import linear_gromov_energy
@@ -158,7 +159,8 @@ def test_searches_do_not_depend_on_the_batch_size(monkeypatch, dof):
     dec_h = sym_eig(random_spd(rng, 2 * dof))
     results = set()
     for batch in (7, 1000, 4096):
-        monkeypatch.setattr(phasemin.verify, "BATCH", batch)
+        # a stack budget of ``batch`` matrices of side 2 dof
+        monkeypatch.setattr(phasemin.linalg, "STACK_ENTRIES", batch * (2 * dof) ** 2)
         drawn = []
         trace = check_trace_minimum(dec_v, dec_h, 5000, counted_sampler(dof, dof, drawn))
         squeeze = nonsqueeze_search(1.0, 0.99, 5000, counted_sampler(dof, dof, drawn))
@@ -167,6 +169,23 @@ def test_searches_do_not_depend_on_the_batch_size(monkeypatch, dof):
         batches = [batch] * (5000 // batch) + [5000 % batch] * (5000 % batch > 0)
         assert drawn == batches + batches
     assert len(results) == 1
+
+
+def test_searches_hold_one_stack_budget_at_sixteen_degrees_of_freedom():
+    # one stack of 4,096 samples of side 32 alone would take 32 MiB
+    rng = np.random.default_rng(16)
+    dec_v, dec_h = sym_eig(random_spd(rng, 32)), sym_eig(random_spd(rng, 32))
+    for search in (
+        lambda sampler: check_trace_minimum(dec_v, dec_h, 4096, sampler),
+        lambda sampler: nonsqueeze_search(1.0, 0.5, 4096, sampler),
+    ):
+        tracemalloc.start()
+        try:
+            search(SymplecticSampler(16, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def test_trace_minimum_validation():

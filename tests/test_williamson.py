@@ -149,13 +149,13 @@ def test_semidefinite_spectra_clamp_to_zero():
 def test_indefinite_matrix_is_rejected():
     with pytest.raises(NotSemidefinite) as info:
         symplectic_eigenvalues(sym_eig(np.diag([1.0, -1.0, 1.0, 1.0])))
-    assert info.value.eigenvalue < 0
+    assert str(info.value) == "matrix has negative eigenvalue -1.000000e+00"
 
 
 def test_williamson_requires_definite_input():
     with pytest.raises(NotPositiveDefinite) as info:
         williamson(sym_eig(np.diag([1.0, 0.0, 1.0, 1.0])))
-    assert info.value.eigenvalue is not None
+    assert str(info.value) == "matrix must be positive definite (eigenvalue 0.000000e+00)"
 
 
 def test_odd_dimension_is_rejected():
